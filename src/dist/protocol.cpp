@@ -349,34 +349,25 @@ FlushStreamMsg decode_flush_stream(const std::uint8_t* data,
 
 void encode_result(std::uint64_t stream, std::uint64_t first_seq,
                    numerics::ConstMatrixView maps,
-                   std::vector<std::uint8_t>& out) {
+                   std::vector<std::uint8_t>& out, std::uint64_t offset) {
   WireWriter w(out);
   w.u64(stream);
   w.u64(first_seq);
   w.u64(maps.rows());
   w.u64(maps.cols());
-  // Row by row: the view may be strided.
-  w.u64(maps.rows() * maps.cols());
-  for (std::size_t f = 0; f < maps.rows(); ++f) {
-    const std::size_t at = out.size();
-    out.resize(at + maps.cols() * sizeof(double));
-    std::memcpy(out.data() + at, maps.row_data(f),
-                maps.cols() * sizeof(double));
-  }
+  w.u64(offset);
 }
 
-void decode_result(const std::uint8_t* data, std::size_t size,
-                   ResultMsg& msg) {
+ResultMsg decode_result(const std::uint8_t* data, std::size_t size) {
   WireReader r(data, size);
+  ResultMsg msg;
   msg.stream = r.u64();
   msg.first_seq = r.u64();
-  msg.frames = r.u64();
-  msg.cells = r.u64();
-  r.doubles(msg.maps);
-  if (msg.maps.size() != msg.frames * msg.cells) {
-    throw ProtocolError("dist: result maps size != frames * cells");
-  }
+  msg.rows = r.u64();
+  msg.cols = r.u64();
+  msg.offset = r.u64();
   r.expect_end();
+  return msg;
 }
 
 void encode_heartbeat(const HeartbeatMsg& msg,

@@ -45,10 +45,15 @@ inline constexpr std::uint32_t kWireMagic = 0x454D5031;  // "EMP1"
 // expansion-backend memory accounting in the stats payload; v4: per-frame
 // trace context (traced flag + origin timestamp) on kSubmitFrame, the
 // kTracePull/kTraceReply span-collection pair, and per-stage latency
-// histograms + structured events in the stats payload (DESIGN.md §15).
-inline constexpr std::uint16_t kProtocolVersion = 4;
+// histograms + structured events in the stats payload (DESIGN.md §15); v5:
+// kResult carries a descriptor into the shard's shared-memory result arena
+// instead of the maps themselves (DESIGN.md §12).
+inline constexpr std::uint16_t kProtocolVersion = 5;
 /// Sanity ceiling on one payload; a length past it is a corrupt header.
+/// Also the address space each side reserves for a shard's result arena.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
+/// Result offsets in the arena ring are multiples of this (a cache line).
+inline constexpr std::uint64_t kResultAlign = 64;
 
 enum class MessageType : std::uint16_t {
   kHello = 1,          // worker -> router: shard id, right after connect
@@ -57,7 +62,7 @@ enum class MessageType : std::uint16_t {
   kModelAck = 4,       // worker -> router: registration applied (or failed)
   kSubmitFrame = 5,    // router -> worker: one stream frame
   kFlushStream = 6,    // router -> worker: cut the stream's partial batch
-  kResult = 7,         // worker -> router: one completed batch of maps
+  kResult = 7,         // worker -> router: a completed batch's arena slot
   kStatsPull = 8,      // router -> worker: request an EngineStats snapshot
   kStatsReply = 9,     // worker -> router: the snapshot
   kHeartbeat = 10,     // worker -> router: liveness tick
@@ -226,21 +231,24 @@ void encode_flush_stream(const FlushStreamMsg& msg,
 FlushStreamMsg decode_flush_stream(const std::uint8_t* data,
                                    std::size_t size);
 
-/// One completed batch: `first_seq` is the global sequence of row 0; rows
-/// are consecutive frames of `stream`.
+/// One completed batch, as a descriptor: its `rows` x `cols` maps sit
+/// row-major at `offset` in the shard's result arena ring (result_arena.h).
+/// `first_seq` is the global sequence of row 0; rows are consecutive frames
+/// of `stream`. Decoding checks only the field layout; the arena checks the
+/// shape and bounds before anything reads the rows.
 struct ResultMsg {
   std::uint64_t stream = 0;
   std::uint64_t first_seq = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t cells = 0;
-  numerics::Vector maps;  // frames x cells, row-major
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  std::uint64_t offset = 0;
 };
+/// Encodes the descriptor of `maps` (already copied to `offset`): only the
+/// shape of `maps` goes on the wire.
 void encode_result(std::uint64_t stream, std::uint64_t first_seq,
                    numerics::ConstMatrixView maps,
-                   std::vector<std::uint8_t>& out);
-/// Decodes into `msg`, reusing its buffer (hot path).
-void decode_result(const std::uint8_t* data, std::size_t size,
-                   ResultMsg& msg);
+                   std::vector<std::uint8_t>& out, std::uint64_t offset = 0);
+ResultMsg decode_result(const std::uint8_t* data, std::size_t size);
 
 struct HeartbeatMsg {
   std::uint64_t tick = 0;

@@ -5,11 +5,13 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <stdlib.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "dist/result_arena.h"
 #include "obs/event_log.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -75,6 +77,9 @@ struct ShardRouter::Shard {
   /// lock, then send outside it — a respawn can swap in a fresh connection
   /// while an old snapshot is still mid-send on the dead one.
   std::shared_ptr<MessageConnection> conn;
+  /// Guarded by state_mutex_: the result arena of a spawned life whose
+  /// reader has not started yet; the reader takes it over.
+  std::unique_ptr<ResultArena> arena;
   std::thread reader;
 
   // Guarded by state_mutex_:
@@ -197,8 +202,10 @@ ShardRouter::ShardRouter(RouterOptions options, ResultCallback on_result)
   rebuild_ring();
   for (auto& shard : shards_) {
     Shard* s = shard.get();
-    s->reader =
-        std::thread([this, s, conn = s->conn] { reader_loop(s->index, conn); });
+    s->reader = std::thread(
+        [this, s, conn = s->conn, arena = std::move(s->arena)]() mutable {
+          reader_loop(s->index, conn, std::move(arena));
+        });
   }
   monitor_ = std::thread([this] { monitor_loop(); });
   if (options_.respawn_max_attempts > 0) {
@@ -268,6 +275,8 @@ ShardRouter::~ShardRouter() {
 }
 
 void ShardRouter::spawn_worker(std::size_t shard) {
+  std::unique_ptr<ResultArena> arena = ResultArena::create();
+  const std::string arena_arg = std::to_string(arena->fd());
   const std::string shard_arg = std::to_string(shard);
   const std::string threads_arg = std::to_string(options_.worker_threads);
   const std::string batch_arg = std::to_string(options_.batch_size);
@@ -281,6 +290,9 @@ void ShardRouter::spawn_worker(std::size_t shard) {
     // must not leak into the worker or its engine destructor would append
     // a duplicate copy of every span.
     ::unsetenv("EIGENMAPS_TRACE_OUT");
+    // Every arena fd is close-on-exec; only this life's own survives the
+    // exec, so no worker can see a sibling shard's results.
+    ::fcntl(arena->fd(), F_SETFD, 0);
     // execv only returns on failure.
     const char* argv[] = {options_.worker_binary.c_str(),
                           socket_path_.c_str(),
@@ -288,6 +300,7 @@ void ShardRouter::spawn_worker(std::size_t shard) {
                           threads_arg.c_str(),
                           batch_arg.c_str(),
                           heartbeat_arg.c_str(),
+                          arena_arg.c_str(),
                           nullptr};
     ::execv(options_.worker_binary.c_str(), const_cast<char* const*>(argv));
     std::perror("eigenmaps_shard_worker exec");
@@ -295,6 +308,7 @@ void ShardRouter::spawn_worker(std::size_t shard) {
   }
   std::lock_guard<std::mutex> lock(state_mutex_);
   shards_[shard]->pid = pid;
+  shards_[shard]->arena = std::move(arena);
 }
 
 void ShardRouter::rebuild_ring() {
@@ -685,7 +699,8 @@ void ShardRouter::kill_shard(std::size_t shard) {
   if (pid > 0) ::kill(pid, SIGKILL);
 }
 
-void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg) {
+void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg,
+                                numerics::ConstMatrixView maps) {
   const bool traced = obs::tracing_enabled();
   const std::uint64_t ack_start_ns = traced ? obs::monotonic_ns() : 0;
   std::shared_ptr<StreamRoute> route;
@@ -697,7 +712,7 @@ void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg) {
     if (route->owner != static_cast<std::uint32_t>(shard)) {
       // A shard that lost the stream raced its own death; the new owner
       // recomputes these frames from the replay log.
-      counters_.stale_results_dropped += msg.frames;
+      counters_.stale_results_dropped += msg.rows;
       return;
     }
   }
@@ -706,21 +721,18 @@ void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg) {
   {
     std::lock_guard<std::mutex> delivery(route->delivery);
     const std::uint64_t next = route->next_result_seq;
-    const std::uint64_t end = msg.first_seq + msg.frames;
+    const std::uint64_t end = msg.first_seq + msg.rows;
     if (end <= next) {
-      stale = msg.frames;  // fully re-delivered by a replay race
+      stale = msg.rows;  // fully re-delivered by a replay race
     } else {
       const std::uint64_t skip =
           next > msg.first_seq ? next - msg.first_seq : 0;
       stale = skip;
-      delivered = msg.frames - skip;
+      delivered = msg.rows - skip;
       if (on_result_) {
-        const numerics::ConstMatrixView maps(
-            msg.maps.data() + skip * msg.cells,
-            static_cast<std::size_t>(delivered),
-            static_cast<std::size_t>(msg.cells),
-            static_cast<std::size_t>(msg.cells));
-        on_result_(msg.stream, msg.first_seq + skip, maps);
+        on_result_(msg.stream, msg.first_seq + skip,
+                   maps.rows_view(static_cast<std::size_t>(skip),
+                                  static_cast<std::size_t>(delivered)));
       }
       route->next_result_seq = end;
       replay_.ack_before(msg.stream, end);
@@ -730,7 +742,7 @@ void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg) {
     // The ack span covers result handling through client callback and
     // replay-log ack, under the seq of the first frame actually delivered.
     obs::record_span(obs::Stage::kAck, ack_start_ns, obs::monotonic_ns(),
-                     msg.stream, msg.first_seq + (msg.frames - delivered),
+                     msg.stream, msg.first_seq + (msg.rows - delivered),
                      static_cast<std::uint32_t>(delivered));
   }
   std::lock_guard<std::mutex> lock(state_mutex_);
@@ -739,11 +751,11 @@ void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg) {
 }
 
 void ShardRouter::reader_loop(std::size_t shard_index,
-                              std::shared_ptr<MessageConnection> conn) {
+                              std::shared_ptr<MessageConnection> conn,
+                              std::unique_ptr<ResultArena> arena) {
   Shard& shard = *shards_[shard_index];
   MessageType type;
   std::vector<std::uint8_t> payload;
-  ResultMsg result;  // buffers reused across frames
   bool escalate = false;
   for (;;) {
     if (escalate) break;
@@ -760,10 +772,16 @@ void ShardRouter::reader_loop(std::size_t shard_index,
     }
     try {
       switch (type) {
-        case MessageType::kResult:
-          decode_result(payload.data(), payload.size(), result);
-          handle_result(shard_index, result);
+        case MessageType::kResult: {
+          // Validated before any routing decision, so a bad descriptor
+          // downs the shard even when its stream is stale. The region is
+          // released once handled — delivered, stale, or never routed.
+          const ResultMsg result =
+              decode_result(payload.data(), payload.size());
+          handle_result(shard_index, result, arena->view(result));
+          arena->release();
           break;
+        }
         case MessageType::kHeartbeat: {
           decode_heartbeat(payload.data(), payload.size());
           std::lock_guard<std::mutex> lock(state_mutex_);
@@ -1232,7 +1250,9 @@ bool ShardRouter::attempt_respawn(std::size_t shard_index) {
     }
     Shard* s = &shard;
     shard.reader = std::thread(
-        [this, s, conn] { reader_loop(s->index, conn); });
+        [this, s, conn, arena = std::move(shard.arena)]() mutable {
+          reader_loop(s->index, conn, std::move(arena));
+        });
     state_cv_.notify_all();
   }
   obs::log(obs::LogLevel::kInfo, "router",

@@ -48,6 +48,8 @@
 
 namespace eigenmaps::dist {
 
+class ResultArena;
+
 struct RouterOptions {
   /// Worker processes to spawn. Must be positive.
   std::size_t shard_count = 2;
@@ -87,8 +89,9 @@ struct RouterOptions {
 
 /// Multi-process shard router. Thread-safe for concurrent producers; the
 /// result callback runs on per-shard reader threads and must not call back
-/// into the router. The maps view it receives is only valid for the
-/// duration of the callback — copy to keep.
+/// into the router. The maps view it receives points into the shard's
+/// shared-memory result arena and is only valid for the duration of the
+/// callback — copy to keep.
 class ShardRouter {
  public:
   /// stream id, global sequence of the first row, maps (one row per frame,
@@ -170,12 +173,18 @@ class ShardRouter {
   /// copy initializes options_.
   static RouterOptions validate(RouterOptions options);
 
+  /// Forks/execs one worker life with a fresh result arena, which waits in
+  /// the shard slot until that life's reader takes it.
   void spawn_worker(std::size_t shard);
-  void reader_loop(std::size_t shard,
-                   std::shared_ptr<MessageConnection> conn);
+  /// One per worker life. Owns the life's result arena, so the mapping
+  /// outlives every view the reader hands out and is unmapped only after
+  /// the reader (and the failure path it runs) has finished.
+  void reader_loop(std::size_t shard, std::shared_ptr<MessageConnection> conn,
+                   std::unique_ptr<ResultArena> arena);
   void monitor_loop();
   void handle_shard_failure(std::size_t shard);
-  void handle_result(std::size_t shard, const ResultMsg& msg);
+  void handle_result(std::size_t shard, const ResultMsg& msg,
+                     numerics::ConstMatrixView maps);
   /// The self-healing supervisor: sleeps until a dead shard's backoff
   /// expires, then tries to bring it back.
   void respawn_loop();

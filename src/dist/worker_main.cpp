@@ -23,7 +23,13 @@
 // and relabeling those would make the router ack frames it never
 // delivered.
 //
+// Results travel through the shard's result arena (result_arena.h), a
+// shared-memory file the router created for this worker life and passed
+// as an inherited fd: the result callback copies each segment's rows into
+// the arena's ring once and sends only a descriptor.
+//
 // Usage: eigenmaps_shard_worker <socket> <shard> <threads> <batch> <hb_ms>
+//                               <arena_fd>
 
 #include <atomic>
 #include <chrono>
@@ -33,7 +39,9 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +50,7 @@
 #include <unistd.h>
 
 #include "dist/protocol.h"
+#include "dist/result_arena.h"
 #include "dist/transport.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -82,10 +91,10 @@ std::uint64_t parse_u64(const char* text, const char* what) {
 }
 
 int worker_main(int argc, char** argv) {
-  if (argc != 6) {
+  if (argc != 7) {
     std::fprintf(stderr,
                  "usage: eigenmaps_shard_worker <socket> <shard> <threads> "
-                 "<batch> <heartbeat_ms>\n");
+                 "<batch> <heartbeat_ms> <arena_fd>\n");
     return 2;
   }
   // The router may vanish at any moment; writes to a dead socket must
@@ -97,6 +106,7 @@ int worker_main(int argc, char** argv) {
   const std::size_t threads = parse_u64(argv[3], "threads");
   const std::size_t batch = parse_u64(argv[4], "batch");
   const auto heartbeat_ms = static_cast<int>(parse_u64(argv[5], "hb_ms"));
+  const auto arena_fd = static_cast<int>(parse_u64(argv[6], "arena fd"));
 
   // Every span and event this process records carries the shard id — the
   // Chrome-trace pid and the (shard, index) event identity both key on it.
@@ -116,8 +126,20 @@ int worker_main(int argc, char** argv) {
   const char* die_file = std::getenv("EIGENMAPS_DIST_DIE_FILE");
 
   // Declared before the registry/engine: the engine's result callback
-  // sends on this connection from worker threads, so the connection must
-  // be destroyed last.
+  // writes into the arena and sends on this connection from worker
+  // threads, so these must be destroyed last.
+  std::unique_ptr<dist::ResultArena> arena;
+  try {
+    arena = dist::ResultArena::adopt(arena_fd);
+  } catch (const dist::TransportError& error) {
+    std::fprintf(stderr, "eigenmaps_shard_worker: %s\n", error.what());
+    return 2;
+  }
+  // Placement and send share `result_mutex`, so descriptors reach the
+  // router in allocation order — the order it releases them in.
+  std::mutex result_mutex;
+  dist::ResultRing ring(*arena);
+  std::vector<std::uint8_t> result_payload;  // guarded by result_mutex
   dist::MessageConnection conn(dist::connect_unix(socket_path));
   {
     std::vector<std::uint8_t> payload;
@@ -184,13 +206,29 @@ int worker_main(int argc, char** argv) {
             ++e;
           }
         }
-        thread_local std::vector<std::uint8_t> payload;
+        std::lock_guard<std::mutex> lock(result_mutex);
         for (const Segment& seg : segments) {
-          dist::encode_result(stream, seg.first_global,
-                              maps.rows_view(seg.offset, seg.rows), payload);
+          const numerics::ConstMatrixView rows =
+              maps.rows_view(seg.offset, seg.rows);
+          std::optional<std::uint64_t> offset;
+          try {
+            offset = ring.place(rows);
+          } catch (const std::exception& error) {
+            // The arena cannot take this result: close the connection so
+            // the router's failure path re-serves the frames elsewhere.
+            obs::log(obs::LogLevel::kError, "worker", "result arena: %s",
+                     error.what());
+            conn.shutdown();
+            return;
+          }
+          // Closed while the ring was full: the router is gone or going,
+          // and it replays whatever it never received.
+          if (!offset) return;
+          dist::encode_result(stream, seg.first_global, rows, result_payload,
+                              *offset);
           // A failed send means the router is gone; the main recv loop
           // will see the same and exit.
-          conn.send(dist::MessageType::kResult, payload);
+          conn.send(dist::MessageType::kResult, result_payload);
         }
       });
 
@@ -212,7 +250,13 @@ int worker_main(int argc, char** argv) {
       dist::encode_heartbeat(msg, payload);
       const auto status = conn.send(dist::MessageType::kHeartbeat, payload);
       lock.lock();
-      if (status != dist::RecvStatus::kOk) break;  // router gone
+      if (status != dist::RecvStatus::kOk) {
+        // Router gone. The main loop may be stuck in push_frame behind a
+        // result callback waiting for ring space that will never be
+        // released; closing the ring unsticks both.
+        ring.close();
+        break;
+      }
     }
   });
 
@@ -428,13 +472,17 @@ int worker_main(int argc, char** argv) {
     }
   }
 done:
+  // No more releases will come: the engine's final drain must not wait on
+  // a full ring (results that still fit go out; the router replays the
+  // rest if it is still there).
+  ring.close();
   {
     std::lock_guard<std::mutex> lock(hb_mutex);
     stopping = true;
   }
   hb_cv.notify_all();
   heartbeat.join();
-  // ~ReconstructionEngine drains and joins before `conn` dies.
+  // ~ReconstructionEngine drains and joins before `conn` and the arena die.
   return exit_code;
 }
 

@@ -6,13 +6,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,6 +32,7 @@
 #include "core/reconstructor.h"
 #include "dist/protocol.h"
 #include "dist/replay_log.h"
+#include "dist/result_arena.h"
 #include "dist/router.h"
 #include "numerics/rng.h"
 #include "obs/event_log.h"
@@ -172,6 +178,67 @@ TEST(DistProtocol, OverflowingLengthFieldsThrowInsteadOfAllocating) {
     dist::WireReader reader(wire, sizeof(wire));
     EXPECT_THROW(reader.bitmask(), dist::ProtocolError) << width;
   }
+}
+
+TEST(DistProtocol, ResultDescriptorDecodeIsTotal) {
+  // A v5 result is a descriptor into the shard's result arena. Every
+  // payload either decodes to rows the arena really holds or throws
+  // ProtocolError (the shard-failure path) — never a read past the
+  // mapping's end or a SIGBUS past the file's.
+  auto arena = dist::ResultArena::create();
+  dist::ResultRing ring(*arena);
+  const numerics::Matrix maps(3, 5, 42.0);  // 120 bytes: 128 with padding
+  const std::optional<std::uint64_t> offset = ring.place(maps);
+  ASSERT_TRUE(offset.has_value());
+  const std::uint64_t ring_bytes = dist::ResultRing::kRingSlots * 128;
+
+  std::vector<std::uint8_t> payload;
+  dist::encode_result(9, 41, maps, payload, *offset);
+  EXPECT_EQ(payload.size() + dist::WireHeader::kBytes, 56u);
+  const dist::ResultMsg msg =
+      dist::decode_result(payload.data(), payload.size());
+  EXPECT_EQ(msg.stream, 9u);
+  EXPECT_EQ(msg.first_seq, 41u);
+  EXPECT_EQ(msg.rows, 3u);
+  EXPECT_EQ(msg.cols, 5u);
+  EXPECT_EQ(msg.offset, *offset);
+  const numerics::ConstMatrixView view = arena->view(msg);
+  ASSERT_EQ(view.rows(), 3u);
+  ASSERT_EQ(view.cols(), 5u);
+  EXPECT_EQ(view(2, 4), 42.0);
+
+  for (std::size_t cut : {std::size_t{0}, payload.size() / 2,
+                          payload.size() - 1}) {
+    EXPECT_THROW(dist::decode_result(payload.data(), cut),
+                 dist::ProtocolError);
+  }
+  payload.push_back(0);
+  EXPECT_THROW(dist::decode_result(payload.data(), payload.size()),
+               dist::ProtocolError);
+
+  const auto rejected = [&](std::uint64_t off, std::uint64_t rows,
+                            std::uint64_t cols) {
+    dist::ResultMsg bad = msg;
+    bad.offset = off;
+    bad.rows = rows;
+    bad.cols = cols;
+    EXPECT_THROW(arena->view(bad), dist::ProtocolError)
+        << "offset " << off << " rows " << rows << " cols " << cols;
+  };
+  rejected(ring_bytes + 64, 1, 1);         // offset past the arena
+  rejected(ring_bytes - 64, 3, 5);         // rows past the arena
+  rejected(~std::uint64_t{0} - 63, 1, 1);  // offset + size wraps
+  rejected(8, 3, 5);                       // misaligned offset
+  rejected(0, 0, 5);                       // zero rows
+  rejected(0, 3, 0);                       // zero columns
+  // rows * cols * 8 wraps to a small number for these; the check must
+  // divide, never multiply (as for the other length fields above).
+  rejected(0, std::uint64_t{1} << 61, 1);
+  rejected(0, (std::uint64_t{1} << 61) + 1, 1);
+  rejected(0, std::uint64_t{1} << 32, std::uint64_t{1} << 29);
+  rejected(0, ~std::uint64_t{0}, ~std::uint64_t{0});
+  // The valid descriptor still resolves after all that.
+  EXPECT_EQ(arena->view(msg)(0, 0), 42.0);
 }
 
 TEST(DistProtocol, RegisterModelRoundTripRebuildsBitIdenticalModel) {
@@ -1154,6 +1221,119 @@ TEST(DistRouter, RespawnGivesUpAfterMaxAttempts) {
   EXPECT_EQ(stats.router.respawns_abandoned, 1u);
   EXPECT_EQ(stats.router.workers_respawned, 0u);
   EXPECT_EQ(stats.router.results_delivered, streams.size() * kFrames);
+}
+
+/// Result-arena fds a process holds open (a memfd's link target carries
+/// the name it was created with).
+std::size_t arena_fds(pid_t pid) {
+  std::size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           "/proc/" + std::to_string(pid) + "/fd")) {
+    std::error_code error;
+    const std::string target =
+        std::filesystem::read_symlink(entry.path(), error).string();
+    if (target.find("memfd:eigenmaps-results") != std::string::npos) ++count;
+  }
+  return count;
+}
+
+TEST(DistRouter, EachWorkerLifeHoldsOnlyItsOwnResultArena) {
+  // Every arena fd is close-on-exec except the child's own, so a worker
+  // holds exactly one arena — never a sibling's. The router holds one per
+  // worker life and drops a dead life's arena once its reader exits, so a
+  // respawn replaces it rather than leaking it.
+  const Fixture fx;
+  std::vector<std::pair<std::uint64_t, core::SensorBitmask>> streams;
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    streams.emplace_back(s, core::SensorBitmask());
+  }
+  const std::size_t before = arena_fds(::getpid());
+  Collector collector;
+  dist::RouterOptions options = test_router_options(3, 8);
+  options.respawn_max_attempts = 3;
+  options.respawn_backoff_ms = 10;
+  dist::ShardRouter router(std::move(options), collector.callback());
+  router.register_model(1, fx.rec.model());
+  push_wave(router, fx, streams, 0, 16);
+  router.drain();
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(arena_fds(router.shard_pid(s)), 1u) << "shard " << s;
+  }
+  EXPECT_EQ(arena_fds(::getpid()), before + 3);
+
+  router.kill_shard(1);
+  ASSERT_TRUE(wait_until([&] {
+    return router.stats().router.workers_respawned >= 1 &&
+           router.alive_count() == 3;
+  })) << "shard 1 never rejoined";
+  push_wave(router, fx, streams, 16, 32);
+  router.drain();
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(arena_fds(router.shard_pid(s)), 1u) << "shard " << s;
+  }
+  EXPECT_EQ(arena_fds(::getpid()), before + 3);
+
+  const auto golden = golden_run(fx, 8, streams, 32);
+  std::lock_guard<std::mutex> lock(collector.mutex);
+  EXPECT_FALSE(collector.order_violated);
+  expect_byte_identical(collector.rows, golden);
+}
+
+/// A process's state letter from /proc ('Z' once it has exited but not yet
+/// been reaped).
+char process_state(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string text;
+  std::getline(stat, text);
+  const std::size_t paren = text.rfind(')');
+  return paren != std::string::npos && paren + 2 < text.size()
+             ? text[paren + 2]
+             : '?';
+}
+
+TEST(DistRouter, WorkerBlockedOnAFullRingExitsWithoutASigkill) {
+  // The router's reader sits in a slow result callback, so nothing is
+  // released: the worker's ring fills and its engine blocks in the result
+  // callback. Tearing the router down must still let the worker exit on
+  // its own — it closes the ring once the connection goes — instead of
+  // waiting for the destructor's SIGKILL.
+  const Fixture fx;
+  // Teardown must not wait on a trace pull the stuck reader cannot answer.
+  const bool was_tracing = obs::tracing_enabled();
+  obs::set_tracing(false);
+  std::mutex mutex;
+  std::condition_variable released;
+  bool unblock = false;  // guarded by mutex
+  std::atomic<int> results{0};
+  auto router = std::make_unique<dist::ShardRouter>(
+      test_router_options(1, 4),
+      [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView) {
+        ++results;
+        std::unique_lock<std::mutex> lock(mutex);
+        released.wait(lock, [&] { return unblock; });
+      });
+  router->register_model(1, fx.rec.model());
+  const pid_t worker = router->shard_pid(0);
+  // Eight batches: the first is stuck in the callback, the next three
+  // fill the ring's four slots, and the fifth blocks the worker's engine.
+  push_wave(*router, fx, {{0, core::SensorBitmask()}}, 0, 32);
+  EXPECT_TRUE(wait_until([&] { return results.load() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  std::thread teardown([&] { router.reset(); });
+  const bool exited = wait_until([&] { return process_state(worker) == 'Z'; },
+                                 std::chrono::seconds(10));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    unblock = true;
+  }
+  released.notify_all();
+  teardown.join();
+  obs::set_tracing(was_tracing);
+  EXPECT_TRUE(exited) << "worker still blocked on its full ring";
+  // At most the four results the ring held reached the router: the worker
+  // gave up on the rest rather than overwrite unreleased slots.
+  EXPECT_LE(results.load(), 4);
 }
 
 TEST(DistRouter, HotSwapBroadcastReachesEveryShard) {
