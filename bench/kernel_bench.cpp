@@ -13,19 +13,16 @@
 //
 // acc compares every tier against the contraction-free scalar references
 // in reference_kernels.h: bit-for-bit for the golden-path kernels (gram,
-// matvec, matvec_t, qr, downdate) and for spmm over a non-fully-dense
-// blocked operator, ULP-bounded for the -ffp-contract=fast GEMM family
-// (matmul, matmul_bias, matmul_acc; float-epsilon-bounded for gemm_f32,
-// and for spmm at 100% density, where it delegates to the dense GEMM).
-// GEMM, gram, spmm and gemm_f32 acc also run on strided views (row
-// stride > cols) to exercise the masked edge columns. This translation
-// unit must stay -ffp-contract=off so the references define exact bit
-// patterns.
+// matvec, matvec_t, qr, downdate), ULP-bounded for the
+// -ffp-contract=fast GEMM family (matmul, matmul_bias, matmul_acc;
+// float-epsilon-bounded for gemm_f32). GEMM, gram and gemm_f32 acc also
+// run on strided views (row stride > cols) to exercise the masked edge
+// columns. This translation unit must stay -ffp-contract=off so the
+// references define exact bit patterns.
 //
 // Kernels and shapes:
 //   matmul m k n | matmul_bias m k n | matmul_acc m k n | gemm_f32 m k n
-//   spmm m k n density% | gram m n | matvec m n | matvec_t m n
-//   qr m n | downdate n
+//   gram m n | matvec m n | matvec_t m n | qr m n | downdate n
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -44,9 +41,7 @@
 #include "numerics/isa.h"
 #include "numerics/qr.h"
 #include "numerics/rng.h"
-#include "numerics/spmm.h"
 #include "reference_kernels.h"
-#include "sparse/blocked_csr.h"
 
 namespace {
 
@@ -71,36 +66,6 @@ bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// A k x n operator whose 8-wide column blocks are zeroed with probability
-/// (100 - density_pct)% under a deterministic per-block LCG, so a
-/// BlockedCsr built from it with a tiny relative threshold stores ~that
-/// fraction of blocks — the density knob of the spmm cases.
-Matrix blocked_sparse_operator(std::size_t k, std::size_t n,
-                               std::size_t density_pct, std::uint64_t seed) {
-  Matrix b = random_matrix(k, n, seed);
-  const std::size_t blocks_per_row = (n + 7) / 8;
-  std::uint64_t state = seed * 0x9E3779B97F4A7C15ull + 1;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t blk = 0; blk < blocks_per_row; ++blk) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      if ((state >> 33) % 100 < density_pct) continue;
-      const std::size_t j0 = blk * 8;
-      const std::size_t j1 = j0 + 8 < n ? j0 + 8 : n;
-      for (std::size_t j = j0; j < j1; ++j) b(i, j) = 0.0;
-    }
-  }
-  return b;
-}
-
-/// Relative threshold small enough to keep every nonzero normal draw but
-/// drop the all-zero blocks blocked_sparse_operator planted.
-constexpr double kSpmmThreshold = 1e-12;
-
-numerics::BlockedOperatorView operator_view(const sparse::BlockedCsr& csr) {
-  return numerics::BlockedOperatorView{csr.values(), csr.block_cols(),
-                                       csr.row_ptr(), csr.rows(), csr.cols()};
-}
-
 // ---- sweep table --------------------------------------------------------
 
 enum class Mode { kBoth, kAccOnly };
@@ -112,8 +77,9 @@ struct Case {
 };
 
 /// The built-in sweep: the serving shapes (Niagara expansion 16 -> 3360
-/// tall-skinny B, batch 1/32/128 multi-RHS, the 16/48-order QR and the
-/// downdate widths the dropout path hits), square GEMMs for context, and
+/// tall-skinny B, batch 1/32/128 multi-RHS, the 24 x 16 QR every model
+/// build and FactorCache refactor runs, and the downdate widths the
+/// dropout path hits), larger QRs and square GEMMs for context, and
 /// acc-only edge shapes that stress the masked tails (cols % 8/16 != 0,
 /// rows % tile != 0).
 const std::vector<Case>& sweep() {
@@ -135,12 +101,6 @@ const std::vector<Case>& sweep() {
       {"gemm_f32", {64, 64, 64}, Mode::kBoth},
       {"gemm_f32", {5, 7, 13}, Mode::kAccOnly},
       {"gemm_f32", {17, 3, 29}, Mode::kAccOnly},
-      {"spmm", {32, 16, 3360, 50}, Mode::kBoth},
-      {"spmm", {128, 16, 3360, 25}, Mode::kBoth},
-      {"spmm", {32, 48, 3360, 50}, Mode::kBoth},
-      {"spmm", {32, 16, 3360, 100}, Mode::kAccOnly},  // dense delegation
-      {"spmm", {5, 7, 29, 50}, Mode::kAccOnly},
-      {"spmm", {17, 3, 61, 40}, Mode::kAccOnly},
       {"gram", {3360, 16}, Mode::kBoth},
       {"gram", {3360, 48}, Mode::kBoth},
       {"gram", {256, 64}, Mode::kBoth},
@@ -152,6 +112,7 @@ const std::vector<Case>& sweep() {
       {"matvec_t", {3360, 16}, Mode::kBoth},
       {"matvec_t", {1024, 64}, Mode::kBoth},
       {"matvec_t", {129, 23}, Mode::kAccOnly},
+      {"qr", {24, 16}, Mode::kBoth},
       {"qr", {3360, 16}, Mode::kBoth},
       {"qr", {256, 48}, Mode::kBoth},
       {"qr", {100, 37}, Mode::kAccOnly},
@@ -179,11 +140,6 @@ double flops_for(const std::string& kernel,
       kernel == "matmul_acc" || kernel == "gemm_f32") {
     return 2.0 * static_cast<double>(d[0]) * static_cast<double>(d[1]) *
            static_cast<double>(d[2]);
-  }
-  if (kernel == "spmm") {
-    // Effective flops: only stored blocks are touched.
-    return 2.0 * static_cast<double>(d[0]) * static_cast<double>(d[1]) *
-           static_cast<double>(d[2]) * static_cast<double>(d[3]) / 100.0;
   }
   if (kernel == "gram") {
     return static_cast<double>(d[0]) * static_cast<double>(d[1]) *
@@ -359,47 +315,6 @@ bool run_acc_case(const std::string& kernel,
     std::snprintf(buf, sizeof(buf), "max |diff|/tol %.3f (fp32)",
                   st.max_rel_tol_used);
     detail = buf;
-  } else if (kernel == "spmm") {
-    const std::size_t m = dims[0], k = dims[1], n = dims[2];
-    const std::size_t density = dims[3];
-    const Matrix a = random_matrix(m, k, 11);
-    const Matrix bd = blocked_sparse_operator(k, n, density, 22);
-    const Vector bias = numerics::Rng(33).normal_vector(n);
-    const sparse::BlockedCsr csr(bd.view(),
-                                 density >= 100 ? 0.0 : kSpmmThreshold);
-    Matrix ref(m, n), c(m, n);
-    bench::ref_spmm(a.view(), csr.values(), csr.block_cols(), csr.row_ptr(),
-                    n, bias.data(), ref.view());
-    ConstMatrixView result = c.view();
-    Matrix pa(m, k + 3), pc(m, n + 5);
-    if (strided) {
-      copy_into_strided(strided_view(pa, m, k), a.view());
-      MatrixView cv = strided_view(pc, m, n);
-      numerics::spmm_bias_into(strided_view(pa, m, k), operator_view(csr),
-                               bias, cv);
-      result = cv;
-    } else {
-      numerics::spmm_bias_into(a.view(), operator_view(csr), bias, c.view());
-    }
-    if (csr.fully_dense()) {
-      // Delegated to the contracted dense GEMM; ref_spmm's ascending-k
-      // order matches ref_matmul's, so the usual ULP bound applies.
-      Matrix absprod(m, n);
-      bench::ref_matmul_abs(a.view(), bd.view(), absprod.view(), bias.data(),
-                            false);
-      const AccStats st = check_gemm(result, ref.view(), absprod.view(), k);
-      pass = st.pass;
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "max |diff|/tol %.3f (dense delegation)",
-                    st.max_rel_tol_used);
-      detail = buf;
-    } else {
-      pass = check_bitwise(result, ref.view());
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "bitwise, stored density %.2f",
-                    csr.stored_density());
-      detail = buf;
-    }
   } else if (kernel == "gram") {
     const std::size_t m = dims[0], n = dims[1];
     const Matrix a = random_matrix(m, n, 55);
@@ -570,7 +485,6 @@ void run_perf_round(const std::string& kernel,
   Matrix a, b, c, ref_c, r0;
   Vector bias, x, y, scratch;
   std::vector<float> bf, biasf;
-  sparse::BlockedCsr csr;
   if (kernel == "matmul" || kernel == "matmul_bias" ||
       kernel == "matmul_acc") {
     a = random_matrix(dims[0], dims[1], 11);
@@ -619,22 +533,6 @@ void run_perf_round(const std::string& kernel,
     lib_fn = [&, k, n] {
       const numerics::ConstF32MatrixView bview{bf.data(), k, n, n};
       numerics::matmul_bias_f32_into(a.view(), bview, biasf.data(), c.view());
-    };
-  } else if (kernel == "spmm") {
-    const std::size_t m = dims[0], k = dims[1], n = dims[2];
-    const std::size_t density = dims[3];
-    a = random_matrix(m, k, 11);
-    b = blocked_sparse_operator(k, n, density, 22);
-    bias = numerics::Rng(33).normal_vector(n);
-    csr = sparse::BlockedCsr(b.view(), density >= 100 ? 0.0 : kSpmmThreshold);
-    c = Matrix(m, n);
-    ref_c = Matrix(m, n);
-    ref_fn = [&, n] {
-      bench::ref_spmm(a.view(), csr.values(), csr.block_cols(), csr.row_ptr(),
-                      n, bias.data(), ref_c.view());
-    };
-    lib_fn = [&] {
-      numerics::spmm_bias_into(a.view(), operator_view(csr), bias, c.view());
     };
   } else if (kernel == "gram") {
     a = random_matrix(dims[0], dims[1], 55);
@@ -819,15 +717,13 @@ int run_check(const char* path) {
                 committed_isa.c_str(), numerics::isa_name());
     return 0;
   }
-  // Gate the GEMM family plus the two serving-tail backends (spmm and the
-  // fp32 GEMM): the kernels this harness exists for, whose speedups dwarf
-  // timer noise. The small O(n^2) kernels (matvec at 1.3x, downdate at
-  // 1.4x) swing tens of percent run-to-run on a busy host and would make
-  // the gate flaky.
+  // Gate the GEMM family plus the fp32 serving-tail GEMM: the kernels this
+  // harness exists for, whose speedups dwarf timer noise. The small O(n^2)
+  // kernels (matvec at 1.3x, downdate at 1.4x) swing tens of percent
+  // run-to-run on a busy host and would make the gate flaky.
   auto gated = [](const std::string& kernel) {
     return kernel == "matmul" || kernel == "matmul_bias" ||
-           kernel == "matmul_acc" || kernel == "gemm_f32" ||
-           kernel == "spmm";
+           kernel == "matmul_acc" || kernel == "gemm_f32";
   };
   std::vector<PerfRecord> fresh;
   for (const Case& c : sweep()) {
@@ -925,9 +821,8 @@ int usage() {
                "[kernel [shape...]]\n"
                "  kernels: matmul m k n | matmul_bias m k n | "
                "matmul_acc m k n |\n"
-               "           gemm_f32 m k n | spmm m k n density%% |\n"
-               "           gram m n | matvec m n | matvec_t m n | "
-               "qr m n | downdate n\n");
+               "           gemm_f32 m k n | gram m n | matvec m n |\n"
+               "           matvec_t m n | qr m n | downdate n\n");
   return 2;
 }
 
@@ -993,7 +888,7 @@ int main(int argc, char** argv) {
         const std::string kernel = c.kernel;
         if (kernel == "matmul" || kernel == "matmul_bias" ||
             kernel == "matmul_acc" || kernel == "gram" ||
-            kernel == "gemm_f32" || kernel == "spmm") {
+            kernel == "gemm_f32") {
           all_pass &= run_acc_case(c.kernel, c.dims, true);
         }
         numerics::clear_isa_override();

@@ -6,7 +6,7 @@
 // Any translation unit that compares bit patterns or ULP distances
 // against these references must be compiled with -ffp-contract=off: the
 // references define the exact results the golden-path SIMD kernels
-// (gram / matvec / QR reflector / Givens sweep) reproduce, and the ULP
+// (gram / matvec / Givens sweep) and the compiled QR reproduce, and the ULP
 // baseline the contracted GEMM family is measured against. Timing-only
 // users (throughput_streaming, micro_kernels) may compile however they
 // like.
@@ -15,7 +15,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "numerics/matrix.h"
@@ -38,33 +37,6 @@ inline void ref_matmul(numerics::ConstMatrixView a,
         s += arow[k] * b(k, j);
       }
       crow[j] = s;
-    }
-  }
-}
-
-/// C = bias + A * B_blocked over a blocked-CSR operator: bias-seeded
-/// rows, k ascending, stored 8-wide blocks in column order, separate
-/// mul/add — the exact bit pattern every spmm tier reproduces when the
-/// operator is not fully dense. `values` holds 8 zero-padded doubles per
-/// stored block; `row_ptr`/`block_cols` follow sparse::BlockedCsr.
-inline void ref_spmm(numerics::ConstMatrixView a, const double* values,
-                     const std::uint32_t* block_cols,
-                     const std::uint32_t* row_ptr, std::size_t n,
-                     const double* bias, numerics::MatrixView c) {
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_data(i);
-    double* crow = c.row_data(i);
-    for (std::size_t j = 0; j < n; ++j) crow[j] = bias[j];
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = arow[k];
-      for (std::uint32_t blk = row_ptr[k]; blk < row_ptr[k + 1]; ++blk) {
-        const std::size_t j0 = static_cast<std::size_t>(block_cols[blk]) * 8;
-        const double* v = values + static_cast<std::size_t>(blk) * 8;
-        const std::size_t w = n - j0 < 8 ? n - j0 : 8;
-        for (std::size_t l = 0; l < w; ++l) {
-          crow[j0 + l] = crow[j0 + l] + aik * v[l];
-        }
-      }
     }
   }
 }
@@ -131,8 +103,8 @@ inline void ref_matvec_transpose(numerics::ConstMatrixView a,
 }
 
 /// In-place scalar Householder factorisation — the classic per-column
-/// trailing update, which the library's two-pass reflector kernels
-/// reproduce bit-for-bit (columns are independent and every dot keeps its
+/// trailing update, which the library's two-pass reflector loop
+/// reproduces bit-for-bit (columns are independent and every dot keeps its
 /// ascending-i order). Fills tau and diag like HouseholderQr.
 inline void ref_householder_qr(numerics::MatrixView qr,
                                std::vector<double>& tau,

@@ -107,14 +107,13 @@ struct BenchJson {
   // Expansion-backend comparison (DESIGN.md §14): batch-32 serving fps and
   // operator memory per backend at the paper size.
   double backend_dense_fps = 0.0;
-  double backend_sparse_fps = 0.0;
   double backend_fp32_fps = 0.0;
   std::uint64_t dense_expansion_bytes = 0;
-  std::uint64_t sparse_expansion_bytes = 0;
   std::uint64_t fp32_expansion_bytes = 0;
-  double sparse_stored_density = 0.0;
-  double sparse_dropped_mass = 0.0;
-  double fp32_memory_reduction = 0.0;  // 1 - fp32 bytes / dense bytes
+  // 1 - fp32 operator bytes / fp64 operator bytes: what the fp32 kernel
+  // streams less of. Not a resident-memory saving — an fp32 model holds
+  // its fp32 operator on top of the fp64 V_k^T.
+  double fp32_memory_reduction = 0.0;
   double fp32_measured_error = 0.0;
   double router_single_engine_fps = 0.0;  // in-process reference, batch 32
   double router_2shard_fps = 0.0;         // 0 when the worker binary is absent
@@ -165,19 +164,11 @@ struct BenchJson {
     std::fprintf(out, "  \"dropout_factor_cache_bytes\": %llu,\n",
                  static_cast<unsigned long long>(dropout_factor_cache_bytes));
     std::fprintf(out, "  \"backend_dense_fps\": %.1f,\n", backend_dense_fps);
-    std::fprintf(out, "  \"backend_sparse_fps\": %.1f,\n",
-                 backend_sparse_fps);
     std::fprintf(out, "  \"backend_fp32_fps\": %.1f,\n", backend_fp32_fps);
     std::fprintf(out, "  \"dense_expansion_bytes\": %llu,\n",
                  static_cast<unsigned long long>(dense_expansion_bytes));
-    std::fprintf(out, "  \"sparse_expansion_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(sparse_expansion_bytes));
     std::fprintf(out, "  \"fp32_expansion_bytes\": %llu,\n",
                  static_cast<unsigned long long>(fp32_expansion_bytes));
-    std::fprintf(out, "  \"sparse_stored_density\": %.4f,\n",
-                 sparse_stored_density);
-    std::fprintf(out, "  \"sparse_dropped_mass\": %.6f,\n",
-                 sparse_dropped_mass);
     std::fprintf(out, "  \"fp32_memory_reduction\": %.4f,\n",
                  fp32_memory_reduction);
     std::fprintf(out, "  \"fp32_measured_error\": %.3e,\n",
@@ -433,11 +424,11 @@ int main(int argc, char** argv) {
   }
   json.per_frame_fps = per_frame_fps;
 
-  // --- expansion backends: dense64 vs sparse64 vs fp32, batch 32 ----------
+  // --- expansion backends: dense64 vs fp32, batch 32 ----------------------
   {
     constexpr std::size_t kBatch = 32;
-    std::printf("# expansion backends, batch %zu (operator bytes vs dense "
-                "fp64 baseline)\n", kBatch);
+    std::printf("# expansion backends, batch %zu (bytes of the operator the "
+                "kernel streams vs the fp64 V_k^T)\n", kBatch);
     const auto bench_backend =
         [&](const core::ExpansionOptions& opts)
         -> std::pair<std::shared_ptr<const core::ReconstructionModel>,
@@ -464,11 +455,7 @@ int main(int argc, char** argv) {
                   core::expansion_backend_name(opts.backend), fps,
                   static_cast<double>(model->expansion_bytes()) / 1024.0,
                   100.0 * reduction);
-      if (opts.backend == core::ExpansionBackend::kSparse64) {
-        std::printf(", density %.2f, dropped mass %.1e",
-                    model->sparse_stored_density(),
-                    model->sparse_dropped_mass());
-      } else if (opts.backend == core::ExpansionBackend::kFp32) {
+      if (opts.backend == core::ExpansionBackend::kFp32) {
         std::printf(", measured error %.1e", model->fp32_measured_error());
       }
       std::printf(")\n");
@@ -479,15 +466,6 @@ int main(int argc, char** argv) {
     const auto [dense_model, dense_fps] = bench_backend(dense_opts);
     json.backend_dense_fps = dense_fps;
     json.dense_expansion_bytes = dense_model->dense_expansion_bytes();
-
-    core::ExpansionOptions sparse_opts;
-    sparse_opts.backend = core::ExpansionBackend::kSparse64;
-    sparse_opts.sparse_threshold = 0.05;
-    const auto [sparse_model, sparse_fps] = bench_backend(sparse_opts);
-    json.backend_sparse_fps = sparse_fps;
-    json.sparse_expansion_bytes = sparse_model->expansion_bytes();
-    json.sparse_stored_density = sparse_model->sparse_stored_density();
-    json.sparse_dropped_mass = sparse_model->sparse_dropped_mass();
 
     core::ExpansionOptions fp32_opts;
     fp32_opts.backend = core::ExpansionBackend::kFp32;

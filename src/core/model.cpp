@@ -9,7 +9,6 @@
 
 #include "numerics/blas.h"
 #include "numerics/gemm_f32.h"
-#include "numerics/spmm.h"
 #include "obs/trace.h"
 #include "numerics/svd.h"
 #include "support/env.h"
@@ -85,8 +84,6 @@ const char* expansion_backend_name(ExpansionBackend backend) {
   switch (backend) {
     case ExpansionBackend::kDense64:
       return "dense64";
-    case ExpansionBackend::kSparse64:
-      return "sparse64";
     case ExpansionBackend::kFp32:
       return "fp32";
   }
@@ -100,18 +97,14 @@ ExpansionOptions default_expansion_options() {
     const std::string value(name);
     if (value == "dense64") {
       opts.backend = ExpansionBackend::kDense64;
-    } else if (value == "sparse64") {
-      opts.backend = ExpansionBackend::kSparse64;
     } else if (value == "fp32") {
       opts.backend = ExpansionBackend::kFp32;
     } else {
       throw std::invalid_argument(
           "EIGENMAPS_EXPANSION_BACKEND: unknown backend \"" + value +
-          "\" (expected dense64, sparse64 or fp32)");
+          "\" (expected dense64 or fp32)");
     }
   }
-  opts.sparse_threshold =
-      support::env_double_or("EIGENMAPS_SPARSE_THRESHOLD", 0.0, 0.0, 1.0);
   opts.fp32_error_budget = support::env_double_or(
       "EIGENMAPS_FP32_ERROR_BUDGET", opts.fp32_error_budget, 0.0, 1.0);
   return opts;
@@ -156,50 +149,43 @@ ReconstructionModel::ReconstructionModel(const Basis& basis, std::size_t k,
     mean_at_sensors_[s] = mean_map_[sensors_[s]];
   }
   const std::size_t n = basis.cell_count();
-  subspace_ = numerics::Matrix(n, k);
   subspace_t_ = numerics::Matrix(k, n);
   const numerics::Matrix& v = basis.vectors();
   for (std::size_t i = 0; i < n; ++i) {
     const double* row = v.row_data(i);
-    double* dst = subspace_.row_data(i);
-    for (std::size_t j = 0; j < k; ++j) {
-      dst[j] = row[j];
-      subspace_t_(j, i) = row[j];
-    }
+    for (std::size_t j = 0; j < k; ++j) subspace_t_(j, i) = row[j];
   }
 
-  // Non-dense backends build their operator from the fp64 transpose, then
-  // release it — subspace_ (the retrainer's warm start and the single-map
-  // golden path's operand) stays resident on every backend.
-  switch (expansion_.backend) {
-    case ExpansionBackend::kDense64:
-      break;
-    case ExpansionBackend::kSparse64:
-      sparse_operator_ =
-          sparse::BlockedCsr(subspace_t_.view(), expansion_.sparse_threshold);
-      subspace_t_ = numerics::Matrix();
-      break;
-    case ExpansionBackend::kFp32: {
-      f32_operator_.resize(k * n);
-      for (std::size_t j = 0; j < k; ++j) {
-        const double* src = subspace_t_.row_data(j);
-        float* dst = f32_operator_.data() + j * n;
-        for (std::size_t i = 0; i < n; ++i) {
-          dst[i] = static_cast<float>(src[i]);
-        }
-      }
-      f32_bias_.resize(n);
+  // The fp32 backend converts its operator from the fp64 transpose, which
+  // stays resident (subspace() reads it).
+  if (expansion_.backend == ExpansionBackend::kFp32) {
+    f32_operator_.resize(k * n);
+    for (std::size_t j = 0; j < k; ++j) {
+      const double* src = subspace_t_.row_data(j);
+      float* dst = f32_operator_.data() + j * n;
       for (std::size_t i = 0; i < n; ++i) {
-        f32_bias_[i] = static_cast<float>(mean_map_[i]);
+        dst[i] = static_cast<float>(src[i]);
       }
-      fp32_measured_error_ = measure_fp32_error(
-          subspace_t_.view(), mean_map_,
-          numerics::ConstF32MatrixView{f32_operator_.data(), k, n, n},
-          f32_bias_.data());
-      subspace_t_ = numerics::Matrix();
-      break;
     }
+    f32_bias_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      f32_bias_[i] = static_cast<float>(mean_map_[i]);
+    }
+    fp32_measured_error_ = measure_fp32_error(
+        subspace_t_.view(), mean_map_,
+        numerics::ConstF32MatrixView{f32_operator_.data(), k, n, n},
+        f32_bias_.data());
   }
+}
+
+numerics::Matrix ReconstructionModel::subspace() const {
+  const std::size_t n = mean_map_.size();
+  numerics::Matrix v(n, k_);
+  for (std::size_t j = 0; j < k_; ++j) {
+    const double* row = subspace_t_.row_data(j);
+    for (std::size_t i = 0; i < n; ++i) v(i, j) = row[i];
+  }
+  return v;
 }
 
 std::size_t ReconstructionModel::workspace_doubles(std::size_t frames) const {
@@ -255,17 +241,21 @@ void ReconstructionModel::reconstruct_into(numerics::ConstVectorView readings,
   }
   factor_.solver.solve_into(centered, alpha, scratch);
   if (expansion_.backend == ExpansionBackend::kDense64) {
-    // Per-cell dot products rather than the blocked GEMM: a single map is
-    // far below the kernel's threading threshold, and this accumulation
-    // order is the historical (golden) one.
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const double* row = subspace_.row_data(i);
-      double s = 0.0;
-      for (std::size_t j = 0; j < k_; ++j) s += row[j] * alpha[j];
-      out[i] = mean_map_[i] + s;
+    // Per-cell sums rather than the blocked GEMM: a single map is far below
+    // the kernel's threading threshold, and this accumulation order is the
+    // historical (golden) one — each cell sums from 0.0 with j ascending,
+    // then adds its mean. Walking V_k^T row by row keeps that order.
+    const std::size_t n = out.size();
+    double* dst = out.data();
+    for (std::size_t i = 0; i < n; ++i) dst[i] = 0.0;
+    for (std::size_t j = 0; j < k_; ++j) {
+      const double* row = subspace_t_.row_data(j);
+      const double a = alpha[j];
+      for (std::size_t i = 0; i < n; ++i) dst[i] += row[i] * a;
     }
+    for (std::size_t i = 0; i < n; ++i) dst[i] = mean_map_[i] + dst[i];
   } else {
-    // Non-dense backends expand single maps through the same operator as
+    // The fp32 backend expands single maps through the same operator as
     // batches, so a model's single-frame and batch answers agree.
     expand_into(
         numerics::ConstMatrixView(alpha.data(), 1, k_, k_),
@@ -338,14 +328,6 @@ void ReconstructionModel::expand_into(numerics::ConstMatrixView alpha,
     case ExpansionBackend::kDense64:
       numerics::matmul_bias_into(alpha, subspace_t_, mean_map_, out);
       break;
-    case ExpansionBackend::kSparse64: {
-      const numerics::BlockedOperatorView op{
-          sparse_operator_.values(), sparse_operator_.block_cols(),
-          sparse_operator_.row_ptr(), sparse_operator_.rows(),
-          sparse_operator_.cols()};
-      numerics::spmm_bias_into(alpha, op, mean_map_, out);
-      break;
-    }
     case ExpansionBackend::kFp32: {
       const numerics::ConstF32MatrixView op{
           f32_operator_.data(), k_, mean_map_.size(), mean_map_.size()};
@@ -356,27 +338,9 @@ void ReconstructionModel::expand_into(numerics::ConstMatrixView alpha,
 }
 
 std::size_t ReconstructionModel::expansion_bytes() const {
-  switch (expansion_.backend) {
-    case ExpansionBackend::kSparse64:
-      return sparse_operator_.bytes();
-    case ExpansionBackend::kFp32:
-      return (f32_operator_.size() + f32_bias_.size()) * sizeof(float);
-    case ExpansionBackend::kDense64:
-      break;
-  }
-  return subspace_t_.storage().size() * sizeof(double);
-}
-
-double ReconstructionModel::sparse_stored_density() const {
-  return expansion_.backend == ExpansionBackend::kSparse64
-             ? sparse_operator_.stored_density()
-             : 1.0;
-}
-
-double ReconstructionModel::sparse_dropped_mass() const {
-  return expansion_.backend == ExpansionBackend::kSparse64
-             ? sparse_operator_.dropped_mass()
-             : 0.0;
+  return expansion_.backend == ExpansionBackend::kFp32
+             ? (f32_operator_.size() + f32_bias_.size()) * sizeof(float)
+             : dense_expansion_bytes();
 }
 
 numerics::Matrix ReconstructionModel::expand(

@@ -11,7 +11,6 @@
 #include "core/basis.h"
 #include "core/workspace.h"
 #include "numerics/qr.h"
-#include "sparse/blocked_csr.h"
 
 namespace eigenmaps::core {
 
@@ -22,26 +21,21 @@ enum class ExpansionBackend {
   /// Dense fp64 GEMM: the default and the golden path. Byte-identical to
   /// every result this library ever produced.
   kDense64 = 0,
-  /// Thresholded blocked-CSR, still fp64: bit-identical to kDense64 at
-  /// threshold 0, bounded-error at nonzero thresholds, memory scales with
-  /// the stored density.
-  kSparse64 = 1,
-  /// Converted-once fp32 operator + fp32 SIMD GEMM: half the operator
-  /// bytes and roughly twice the lanes; expansion error is measured
+  // Values are fixed: the exported eigenmaps_model_expansion_backend gauge
+  // reports them, so 1 (a removed backend) stays unused.
+  /// Converted-once fp32 operator + fp32 SIMD GEMM: the kernel streams half
+  /// the operator bytes with twice the lanes; expansion error is measured
   /// against the fp64 operator at construction and enforced against the
   /// budget when the model is published to a registry.
   kFp32 = 2,
 };
 
-/// Stable lowercase name ("dense64" / "sparse64" / "fp32").
+/// Stable lowercase name ("dense64" / "fp32").
 const char* expansion_backend_name(ExpansionBackend backend);
 
 /// Per-model expansion-tail configuration, frozen at construction.
 struct ExpansionOptions {
   ExpansionBackend backend = ExpansionBackend::kDense64;
-  /// kSparse64: drop 8-wide operator blocks whose entries all fall below
-  /// sparse_threshold * max|V_k|. 0 keeps everything (bit-identical).
-  double sparse_threshold = 0.0;
   /// kFp32: the largest acceptable measured expansion error
   /// (max |fp32 - fp64| / max |fp64| over a deterministic probe batch).
   /// ModelRegistry::register_model throws when the measured error
@@ -50,13 +44,13 @@ struct ExpansionOptions {
 };
 
 /// ExpansionOptions resolved from the environment: backend from
-/// EIGENMAPS_EXPANSION_BACKEND ("dense64" / "sparse64" / "fp32", default
-/// dense64), threshold from EIGENMAPS_SPARSE_THRESHOLD, budget from
-/// EIGENMAPS_FP32_ERROR_BUDGET. Malformed values throw (support/env.h).
+/// EIGENMAPS_EXPANSION_BACKEND ("dense64" / "fp32", default dense64) and
+/// budget from EIGENMAPS_FP32_ERROR_BUDGET. Malformed values throw
+/// (support/env.h).
 ExpansionOptions default_expansion_options();
 
 /// Everything a trained reconstruction needs, frozen at construction: the
-/// order-k basis slice V_k (and its transpose for the batched GEMM), the
+/// order-k basis slice V_k (held once, as the transpose V_k^T), the
 /// mean map, the sensor locations, the sampled basis Psi~ (sensors x k)
 /// and its QR factor. Construction throws std::invalid_argument when Psi~
 /// is rank deficient (Theorem 1's feasibility condition) or k exceeds the
@@ -92,10 +86,11 @@ class ReconstructionModel {
   /// rows of it to downdate, and row subsets to refactor.
   const numerics::Matrix& sampled_basis() const { return factor_.sampled; }
 
-  /// The full basis slice V_k (N x k, orthonormal columns) — the online
-  /// retrainer's warm start for refreshing the basis (PcaOptions::
-  /// warm_start), and anyone else's read-only window on the subspace.
-  const numerics::Matrix& subspace() const { return subspace_; }
+  /// The full basis slice V_k (N x k, orthonormal columns), transposed out
+  /// of the resident V_k^T into a fresh matrix — for the off-hot-path
+  /// readers: the online retrainer's warm start (PcaOptions::warm_start)
+  /// and the shard protocol's model encoding.
+  numerics::Matrix subspace() const;
 
   /// sigma_max / sigma_min of Psi~ with every sensor alive — the
   /// conditioning of the undegraded inverse problem (Fig. 5).
@@ -109,19 +104,15 @@ class ReconstructionModel {
   const ExpansionOptions& expansion_options() const { return expansion_; }
   ExpansionBackend expansion_backend() const { return expansion_.backend; }
 
-  /// Resident bytes of the active expansion operator (dense transpose,
-  /// blocked-CSR arrays, or fp32 operator + bias copy).
+  /// Resident bytes of the operator the expansion kernel reads: the fp64
+  /// V_k^T for kDense64, the fp32 operator + bias copy for kFp32.
   std::size_t expansion_bytes() const;
-  /// Bytes the dense fp64 operator (k x N doubles) would take — the
-  /// baseline sparse/fp32 memory reductions are measured against.
+  /// Resident bytes of the fp64 V_k^T (k x N doubles). Every model holds
+  /// it whatever its backend: an fp32 model keeps it as subspace()'s
+  /// source and holds its fp32 operator on top.
   std::size_t dense_expansion_bytes() const {
-    return k_ * mean_map_.size() * sizeof(double);
+    return subspace_t_.storage().size() * sizeof(double);
   }
-  /// kSparse64: stored blocks / total blocks (1.0 otherwise).
-  double sparse_stored_density() const;
-  /// kSparse64: relative Frobenius mass dropped by thresholding (0.0
-  /// otherwise).
-  double sparse_dropped_mass() const;
   /// kFp32: expansion error measured against the fp64 operator over a
   /// deterministic probe batch at construction (0.0 otherwise). The
   /// registry enforces expansion_options().fp32_error_budget against this
@@ -178,14 +169,11 @@ class ReconstructionModel {
   numerics::Vector mean_map_;
   numerics::Vector mean_at_sensors_;
   ExpansionOptions expansion_;
-  numerics::Matrix subspace_;    // N x k copy of the leading basis columns
-  // k x N transpose for the batched GEMM. Only the dense backend keeps it;
-  // sparse/fp32 models release it after building their operator, which is
-  // where the memory win comes from.
+  // The one fp64 copy of the leading basis columns, k x N: the dense GEMM's
+  // operand, the single-map golden loop's, and subspace()'s source.
   numerics::Matrix subspace_t_;
-  sparse::BlockedCsr sparse_operator_;  // kSparse64
-  std::vector<float> f32_operator_;     // kFp32: k x N row-major
-  std::vector<float> f32_bias_;         // kFp32: mean map, N floats
+  std::vector<float> f32_operator_;  // kFp32: k x N row-major
+  std::vector<float> f32_bias_;      // kFp32: mean map, N floats
   double fp32_measured_error_ = 0.0;
   SampledFactor factor_;
 };

@@ -13,11 +13,11 @@ namespace eigenmaps::core {
 /// design-time pipeline work at this level; the serving stack
 /// (runtime::ModelRegistry, core::FactorCache) shares the underlying
 /// model() directly so many engines, caches, and threads can reference
-/// one trained model without copying its N x k subspace.
+/// one trained model without copying its subspace.
 class Reconstructor {
  public:
   /// Expansion backend from the environment (default_expansion_options):
-  /// dense64 unless EIGENMAPS_EXPANSION_BACKEND opts into sparse64/fp32,
+  /// dense64 unless EIGENMAPS_EXPANSION_BACKEND opts into fp32,
   /// so existing builds stay byte-identical with no env set.
   Reconstructor(const Basis& basis, std::size_t k, SensorLocations sensors,
                 numerics::Vector mean_map)

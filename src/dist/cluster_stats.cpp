@@ -23,20 +23,15 @@ void merge_model_stats(runtime::ModelStats& into,
   into.adaptation.swaps_published += from.adaptation.swaps_published;
   // Memory gauges sum across shards — every worker process holds its own
   // copy of the operator and its own factor cache, so the cluster view is
-  // total resident bytes. The backend id and per-model ratios are model
+  // total resident bytes. The backend id and the fp32 error are model
   // properties identical on every shard serving it; max() keeps the real
   // value when some shard has not reported the model yet (defaults: id 0,
-  // density 1.0, mass/error 0.0 — density takes min for the same reason).
+  // error 0.0).
   into.expansion_backend = std::max(into.expansion_backend,
                                     from.expansion_backend);
   into.dense_expansion_bytes += from.dense_expansion_bytes;
-  into.sparse_expansion_bytes += from.sparse_expansion_bytes;
   into.fp32_expansion_bytes += from.fp32_expansion_bytes;
   into.factor_cache_bytes += from.factor_cache_bytes;
-  into.sparse_stored_density =
-      std::min(into.sparse_stored_density, from.sparse_stored_density);
-  into.sparse_dropped_mass =
-      std::max(into.sparse_dropped_mass, from.sparse_dropped_mass);
   into.fp32_measured_error =
       std::max(into.fp32_measured_error, from.fp32_measured_error);
 }

@@ -225,10 +225,13 @@ void encode_register_model(runtime::ModelId id,
   w.u64(model.sensors().size());
   for (const std::size_t cell : model.sensors()) w.u64(cell);
   w.doubles(model.mean_map().data(), model.mean_map().size());
-  const numerics::Matrix& subspace = model.subspace();
+  const numerics::Matrix subspace = model.subspace();
   w.u64(subspace.rows());
   w.u64(subspace.cols());
   w.doubles(subspace.row_data(0), subspace.rows() * subspace.cols());
+  const core::ExpansionOptions& expansion = model.expansion_options();
+  w.u8(static_cast<std::uint8_t>(expansion.backend));
+  w.f64(expansion.fp32_error_budget);
 }
 
 RegisterModelMsg decode_register_model(const std::uint8_t* data,
@@ -254,6 +257,19 @@ RegisterModelMsg decode_register_model(const std::uint8_t* data,
     throw ProtocolError("dist: subspace shape inconsistent with model");
   }
   msg.subspace = numerics::Matrix(rows, cols, std::move(flat));
+  const std::uint8_t backend = r.u8();
+  if (backend != static_cast<std::uint8_t>(core::ExpansionBackend::kDense64) &&
+      backend != static_cast<std::uint8_t>(core::ExpansionBackend::kFp32)) {
+    throw ProtocolError("dist: unknown expansion backend " +
+                        std::to_string(backend));
+  }
+  msg.expansion.backend = static_cast<core::ExpansionBackend>(backend);
+  msg.expansion.fp32_error_budget = r.f64();
+  // Same range as EIGENMAPS_FP32_ERROR_BUDGET; !(x >= 0) also rejects NaN.
+  if (!(msg.expansion.fp32_error_budget >= 0.0 &&
+        msg.expansion.fp32_error_budget <= 1.0)) {
+    throw ProtocolError("dist: fp32 error budget outside [0, 1]");
+  }
   r.expect_end();
   return msg;
 }
@@ -264,7 +280,7 @@ std::shared_ptr<const core::ReconstructionModel> build_model(
   // temporary MatrixBasis can die with this frame.
   const core::MatrixBasis basis{numerics::Matrix(msg.subspace)};
   return std::make_shared<const core::ReconstructionModel>(
-      basis, msg.order, msg.sensors, msg.mean_map);
+      basis, msg.order, msg.sensors, msg.mean_map, msg.expansion);
 }
 
 void encode_model_ack(const ModelAckMsg& msg, std::vector<std::uint8_t>& out) {
@@ -469,11 +485,8 @@ void encode_engine_stats(const runtime::EngineStats& stats,
     w.u64(m.adaptation.swaps_published);
     w.u32(m.expansion_backend);
     w.u64(m.dense_expansion_bytes);
-    w.u64(m.sparse_expansion_bytes);
     w.u64(m.fp32_expansion_bytes);
     w.u64(m.factor_cache_bytes);
-    w.f64(m.sparse_stored_density);
-    w.f64(m.sparse_dropped_mass);
     w.f64(m.fp32_measured_error);
   }
 }
@@ -537,11 +550,8 @@ runtime::EngineStats decode_engine_stats(const std::uint8_t* data,
     m.adaptation.swaps_published = r.u64();
     m.expansion_backend = r.u32();
     m.dense_expansion_bytes = r.u64();
-    m.sparse_expansion_bytes = r.u64();
     m.fp32_expansion_bytes = r.u64();
     m.factor_cache_bytes = r.u64();
-    m.sparse_stored_density = r.f64();
-    m.sparse_dropped_mass = r.f64();
     m.fp32_measured_error = r.f64();
   }
   r.expect_end();

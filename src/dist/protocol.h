@@ -47,8 +47,10 @@ inline constexpr std::uint32_t kWireMagic = 0x454D5031;  // "EMP1"
 // kTracePull/kTraceReply span-collection pair, and per-stage latency
 // histograms + structured events in the stats payload (DESIGN.md §15); v5:
 // kResult carries a descriptor into the shard's shared-memory result arena
-// instead of the maps themselves (DESIGN.md §12).
-inline constexpr std::uint16_t kProtocolVersion = 5;
+// instead of the maps themselves (DESIGN.md §12); v6: kRegisterModel
+// carries the model's expansion backend and fp32 error budget, and the
+// stats payload drops the blocked-CSR gauges.
+inline constexpr std::uint16_t kProtocolVersion = 6;
 /// Sanity ceiling on one payload; a length past it is a corrupt header.
 /// Also the address space each side reserves for a shard's result arena.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
@@ -152,24 +154,28 @@ void encode_hello(const HelloMsg& msg, std::vector<std::uint8_t>& out);
 HelloMsg decode_hello(const std::uint8_t* data, std::size_t size);
 
 /// A full model crossing the wire: enough to rebuild the immutable
-/// ReconstructionModel on the worker (the QR factor and the transposed
-/// subspace are recomputed there — they are derived state, and shipping
-/// them would double the payload to save one factorization per swap).
+/// ReconstructionModel on the worker, expansion backend included (the QR
+/// factor and any fp32 operator are recomputed there — they are derived
+/// state, and shipping them would grow the payload to save one
+/// factorization per swap). The worker's registry then runs the same
+/// fp32 publish gate the router's mirror does.
 struct RegisterModelMsg {
   runtime::ModelId model = 0;
   std::uint64_t order = 0;
   core::SensorLocations sensors;
   numerics::Vector mean_map;
   numerics::Matrix subspace;  // cell_count x order, orthonormal columns
+  core::ExpansionOptions expansion;
 };
 void encode_register_model(runtime::ModelId id,
                            const core::ReconstructionModel& model,
                            std::vector<std::uint8_t>& out);
 RegisterModelMsg decode_register_model(const std::uint8_t* data,
                                        std::size_t size);
-/// Rebuilds the immutable model from a decoded message (MatrixBasis
-/// bridge). Throws std::invalid_argument exactly as direct construction
-/// would (rank-deficient sampled basis, order past sensor count).
+/// Rebuilds the immutable model, on the message's expansion backend, from
+/// a decoded message (MatrixBasis bridge). Throws std::invalid_argument
+/// exactly as direct construction would (rank-deficient sampled basis,
+/// order past sensor count).
 std::shared_ptr<const core::ReconstructionModel> build_model(
     const RegisterModelMsg& msg);
 

@@ -390,11 +390,13 @@ std::uint64_t ShardRouter::register_model(
   bool any_alive = false;
   for (const auto& [shard, ack] : acks_[id]) {
     if (!ack.ok) {
-      const std::string error = ack.error;
+      // Build the message before erasing: `shard` and `ack` live in the
+      // map node the erase frees.
+      const std::string error = "ShardRouter::register_model: shard " +
+                                std::to_string(shard) +
+                                " rejected model: " + ack.error;
       acks_.erase(id);
-      throw std::runtime_error("ShardRouter::register_model: shard " +
-                               std::to_string(shard) + " rejected model: " +
-                               error);
+      throw std::runtime_error(error);
     }
     any_alive = true;
   }

@@ -9,9 +9,9 @@
 // cannot run throws instead of silently falling back (DESIGN.md §13).
 //
 // The selection never changes results on the golden paths: the explicit
-// gram / matvec / QR-reflector / Givens-sweep kernels preserve the scalar
-// per-element accumulation order bit-for-bit, so every tier produces the
-// same bytes there. Only the GEMM family (already -ffp-contract=fast)
+// gram / matvec / Givens-sweep kernels preserve the scalar per-element
+// accumulation order bit-for-bit, so every tier produces the same bytes
+// there. Only the GEMM family (already -ffp-contract=fast)
 // is allowed to differ within its documented ULP bound.
 #ifndef EIGENMAPS_NUMERICS_ISA_H
 #define EIGENMAPS_NUMERICS_ISA_H

@@ -300,57 +300,6 @@ void matvec_t_rows_avx2(ConstMatrixView a, const double* x, double* y,
   }
 }
 
-// ---- Householder reflector apply ---------------------------------------
-
-void qr_reflect_columns_avx2(MatrixView qr, std::size_t k, double tau,
-                             double* s) {
-  const std::size_t m = qr.rows();
-  const std::size_t n = qr.cols();
-  const std::size_t j0 = k + 1;
-  if (j0 >= n) return;
-  const std::size_t w = n - j0;
-  // s = (row k segment) + sum_i v_i * (row i segment), i ascending — the
-  // v·A sweep with each column's partial sum living in its own lane.
-  const double* rowk = qr.row_data(k) + j0;
-  for (std::size_t j = 0; j < w; ++j) s[j] = rowk[j];
-  for (std::size_t i = k + 1; i < m; ++i) {
-    const __m256d vi = _mm256_broadcast_sd(qr.row_data(i) + k);
-    const double* rowi = qr.row_data(i) + j0;
-    std::size_t j = 0;
-    for (; j + 4 <= w; j += 4) {
-      const __m256d prod = _mm256_mul_pd(vi, _mm256_loadu_pd(rowi + j));
-      _mm256_storeu_pd(s + j, _mm256_add_pd(_mm256_loadu_pd(s + j), prod));
-    }
-    if (j < w) {
-      const std::size_t ww = w - j;
-      const __m256d prod = _mm256_mul_pd(vi, load_cols(rowi + j, ww));
-      store_cols(s + j, ww, _mm256_add_pd(load_cols(s + j, ww), prod));
-    }
-  }
-  // s *= tau; row k -= s; rank-1 update rows k+1..m-1: row_i -= s * v_i.
-  double* rowk_mut = qr.row_data(k) + j0;
-  for (std::size_t j = 0; j < w; ++j) {
-    s[j] *= tau;
-    rowk_mut[j] -= s[j];
-  }
-  for (std::size_t i = k + 1; i < m; ++i) {
-    const __m256d vi = _mm256_broadcast_sd(qr.row_data(i) + k);
-    double* rowi = qr.row_data(i) + j0;
-    std::size_t j = 0;
-    for (; j + 4 <= w; j += 4) {
-      const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(s + j), vi);
-      _mm256_storeu_pd(rowi + j,
-                       _mm256_sub_pd(_mm256_loadu_pd(rowi + j), prod));
-    }
-    if (j < w) {
-      const std::size_t ww = w - j;
-      const __m256d prod = _mm256_mul_pd(load_cols(s + j, ww), vi);
-      store_cols(rowi + j, ww,
-                 _mm256_sub_pd(load_cols(rowi + j, ww), prod));
-    }
-  }
-}
-
 // ---- Givens downdate sweep ----------------------------------------------
 
 void givens_sweep_columns_avx2(MatrixView r, const double* c,
@@ -406,55 +355,6 @@ void givens_sweep_columns_avx2(MatrixView r, const double* c,
         _mm256_maskstore_pd(rowi, mask_n, rnew);
       }
       xx = t;
-    }
-  }
-}
-
-// ---- blocked-CSR expansion ----------------------------------------------
-
-void spmm_rows_avx2(ConstMatrixView a, const BlockedOperatorView& b,
-                    const double* bias, MatrixView c, std::size_t i0,
-                    std::size_t i1) {
-  const std::size_t inner = b.rows;
-  const std::size_t n = b.cols;
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* arow = a.row_data(i);
-    double* crow = c.row_data(i);
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      _mm256_storeu_pd(crow + j, _mm256_loadu_pd(bias + j));
-    }
-    for (; j < n; ++j) crow[j] = bias[j];
-    for (std::size_t k = 0; k < inner; ++k) {
-      const __m256d aik = _mm256_broadcast_sd(arow + k);
-      const std::uint32_t bend = b.row_ptr[k + 1];
-      for (std::uint32_t blk = b.row_ptr[k]; blk < bend; ++blk) {
-        const std::size_t j0 =
-            static_cast<std::size_t>(b.block_cols[blk]) * 8;
-        const double* v = b.values + static_cast<std::size_t>(blk) * 8;
-        if (j0 + 8 <= n) {
-          _mm256_storeu_pd(
-              crow + j0,
-              _mm256_add_pd(_mm256_loadu_pd(crow + j0),
-                            _mm256_mul_pd(aik, _mm256_loadu_pd(v))));
-          _mm256_storeu_pd(
-              crow + j0 + 4,
-              _mm256_add_pd(_mm256_loadu_pd(crow + j0 + 4),
-                            _mm256_mul_pd(aik, _mm256_loadu_pd(v + 4))));
-        } else {  // final partial block: masked halves
-          const std::size_t w = n - j0;
-          const std::size_t w0 = w < 4 ? w : 4;
-          store_cols(crow + j0, w0,
-                     _mm256_add_pd(load_cols(crow + j0, w0),
-                                   _mm256_mul_pd(aik, load_cols(v, w0))));
-          if (w > 4) {
-            store_cols(
-                crow + j0 + 4, w - 4,
-                _mm256_add_pd(load_cols(crow + j0 + 4, w - 4),
-                              _mm256_mul_pd(aik, load_cols(v + 4, w - 4))));
-          }
-        }
-      }
     }
   }
 }

@@ -301,59 +301,6 @@ void matvec_t_rows_avx512(ConstMatrixView a, const double* x, double* y,
   }
 }
 
-// ---- Householder reflector apply ---------------------------------------
-
-void qr_reflect_columns_avx512(MatrixView qr, std::size_t k, double tau,
-                               double* s) {
-  const std::size_t m = qr.rows();
-  const std::size_t n = qr.cols();
-  const std::size_t j0 = k + 1;
-  if (j0 >= n) return;
-  const std::size_t w = n - j0;
-  const double* rowk = qr.row_data(k) + j0;
-  for (std::size_t j = 0; j < w; ++j) s[j] = rowk[j];
-  for (std::size_t i = k + 1; i < m; ++i) {
-    const __m512d vi = _mm512_set1_pd(qr.row_data(i)[k]);
-    const double* rowi = qr.row_data(i) + j0;
-    std::size_t j = 0;
-    for (; j + 8 <= w; j += 8) {
-      const __m512d prod = _mm512_mul_pd(vi, _mm512_loadu_pd(rowi + j));
-      _mm512_storeu_pd(s + j, _mm512_add_pd(_mm512_loadu_pd(s + j), prod));
-    }
-    if (j < w) {
-      const __mmask8 mask = lane_mask8(w - j);
-      const __m512d prod =
-          _mm512_mul_pd(vi, _mm512_maskz_loadu_pd(mask, rowi + j));
-      _mm512_mask_storeu_pd(
-          s + j, mask,
-          _mm512_add_pd(_mm512_maskz_loadu_pd(mask, s + j), prod));
-    }
-  }
-  double* rowk_mut = qr.row_data(k) + j0;
-  for (std::size_t j = 0; j < w; ++j) {
-    s[j] *= tau;
-    rowk_mut[j] -= s[j];
-  }
-  for (std::size_t i = k + 1; i < m; ++i) {
-    const __m512d vi = _mm512_set1_pd(qr.row_data(i)[k]);
-    double* rowi = qr.row_data(i) + j0;
-    std::size_t j = 0;
-    for (; j + 8 <= w; j += 8) {
-      const __m512d prod = _mm512_mul_pd(_mm512_loadu_pd(s + j), vi);
-      _mm512_storeu_pd(rowi + j,
-                       _mm512_sub_pd(_mm512_loadu_pd(rowi + j), prod));
-    }
-    if (j < w) {
-      const __mmask8 mask = lane_mask8(w - j);
-      const __m512d prod =
-          _mm512_mul_pd(_mm512_maskz_loadu_pd(mask, s + j), vi);
-      _mm512_mask_storeu_pd(
-          rowi + j, mask,
-          _mm512_sub_pd(_mm512_maskz_loadu_pd(mask, rowi + j), prod));
-    }
-  }
-}
-
 // ---- Givens downdate sweep ----------------------------------------------
 
 namespace {
@@ -391,50 +338,6 @@ void givens_sweep_columns_avx512(MatrixView r, const double* c,
           rowi, mask,
           _mm512_sub_pd(_mm512_mul_pd(cv, rv), _mm512_mul_pd(sv, xx)));
       xx = t;
-    }
-  }
-}
-
-// ---- blocked-CSR expansion ----------------------------------------------
-
-void spmm_rows_avx512(ConstMatrixView a, const BlockedOperatorView& b,
-                      const double* bias, MatrixView c, std::size_t i0,
-                      std::size_t i1) {
-  const std::size_t inner = b.rows;
-  const std::size_t n = b.cols;
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* arow = a.row_data(i);
-    double* crow = c.row_data(i);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      _mm512_storeu_pd(crow + j, _mm512_loadu_pd(bias + j));
-    }
-    if (j < n) {
-      const __mmask8 mask = lane_mask8(n - j);
-      _mm512_mask_storeu_pd(crow + j, mask,
-                            _mm512_maskz_loadu_pd(mask, bias + j));
-    }
-    for (std::size_t k = 0; k < inner; ++k) {
-      const __m512d aik = _mm512_set1_pd(arow[k]);
-      const std::uint32_t bend = b.row_ptr[k + 1];
-      for (std::uint32_t blk = b.row_ptr[k]; blk < bend; ++blk) {
-        const std::size_t j0 =
-            static_cast<std::size_t>(b.block_cols[blk]) * 8;
-        // The stored block always holds 8 (zero-padded) values; only the
-        // output access masks on the final partial block.
-        const __m512d prod = _mm512_mul_pd(
-            aik, _mm512_loadu_pd(b.values +
-                                 static_cast<std::size_t>(blk) * 8));
-        if (j0 + 8 <= n) {
-          _mm512_storeu_pd(crow + j0,
-                           _mm512_add_pd(_mm512_loadu_pd(crow + j0), prod));
-        } else {
-          const __mmask8 mask = lane_mask8(n - j0);
-          _mm512_mask_storeu_pd(
-              crow + j0, mask,
-              _mm512_add_pd(_mm512_maskz_loadu_pd(mask, crow + j0), prod));
-        }
-      }
     }
   }
 }

@@ -18,8 +18,11 @@ namespace {
 /// update. Two passes over rows — the dot products accumulate with i
 /// ascending per column, exactly the order of the classic per-column
 /// loop, so restructuring moves no bits. `s` holds n scratch doubles.
-void qr_reflect_columns_portable(MatrixView qr, std::size_t k, double tau,
-                                 double* s) {
+/// One compiled loop on every ISA tier: at the M x K shapes the library
+/// factors (24 x 16 and its row subsets) it outruns AVX2/AVX-512
+/// intrinsics (DESIGN.md §13).
+void qr_reflect_columns(MatrixView qr, std::size_t k, double tau,
+                        double* s) {
   const std::size_t m = qr.rows();
   const std::size_t n = qr.cols();
   double* krow = qr.row_data(k);
@@ -37,26 +40,6 @@ void qr_reflect_columns_portable(MatrixView qr, std::size_t k, double tau,
     const double vik = qr(i, k);
     double* row = qr.row_data(i);
     for (std::size_t j = k + 1; j < n; ++j) row[j] -= s[j] * vik;
-  }
-}
-
-/// Runtime tier selection for the reflector apply (DESIGN.md §13). Lane j
-/// owns column j in the SIMD tiers and every sum stays an ascending-i
-/// mul + add chain, so all tiers are bit-identical.
-void qr_reflect_columns(MatrixView qr, std::size_t k, double tau,
-                        double* s) {
-  switch (active_isa()) {
-#if defined(EIGENMAPS_HAVE_X86_KERNELS)
-    case Isa::kAvx512:
-      detail::qr_reflect_columns_avx512(qr, k, tau, s);
-      return;
-    case Isa::kAvx2:
-      detail::qr_reflect_columns_avx2(qr, k, tau, s);
-      return;
-#endif
-    default:
-      qr_reflect_columns_portable(qr, k, tau, s);
-      return;
   }
 }
 

@@ -12,14 +12,10 @@
 //    scalar reference (the TU-level -ffp-contract=fast family). Per
 //    output element the accumulation is still k-ascending and
 //    left-associated, so results are deterministic per tier.
-//  - gram_rows_*, matvec_rows_*, matvec_t_rows_*, qr_reflect_columns_*,
-//    givens_sweep_columns_*: bit-for-bit identical to the portable scalar
-//    loops on every input — lanes map to independent output elements and
-//    each lane replays the exact scalar operation sequence (separate
-//    mul/add, never FMA).
-//  - spmm_rows_*: bit-for-bit identical to the portable blocked-CSR loop
-//    (separate mul/add, k-ascending per output element, same stored-block
-//    walk on every tier).
+//  - gram_rows_*, matvec_rows_*, matvec_t_rows_*, givens_sweep_columns_*:
+//    bit-for-bit identical to the portable scalar loops on every input —
+//    lanes map to independent output elements and each lane replays the
+//    exact scalar operation sequence (separate mul/add, never FMA).
 //  - gemm_f32_rows_*: fp32-FMA-tiled; no cross-tier bitwise contract —
 //    the fp32 backend is gated by its measured error budget instead
 //    (DESIGN.md §14). Deterministic per tier.
@@ -30,7 +26,6 @@
 
 #include "numerics/gemm_f32.h"
 #include "numerics/matrix.h"
-#include "numerics/spmm.h"
 
 namespace eigenmaps::numerics::detail {
 
@@ -44,16 +39,6 @@ void gemm_rows_avx2(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                     const double* bias, std::size_t i0, std::size_t i1);
 void gemm_rows_avx512(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                       const double* bias, std::size_t i0, std::size_t i1);
-
-// ---- blocked-CSR expansion (C rows [i0, i1) = bias + A * B) ------------
-// Bias-seeded output rows, then k ascending over B's stored 8-wide blocks
-// with separate mul/add — every tier replays the portable loop exactly.
-void spmm_rows_avx2(ConstMatrixView a, const BlockedOperatorView& b,
-                    const double* bias, MatrixView c, std::size_t i0,
-                    std::size_t i1);
-void spmm_rows_avx512(ConstMatrixView a, const BlockedOperatorView& b,
-                      const double* bias, MatrixView c, std::size_t i0,
-                      std::size_t i1);
 
 // ---- fp32 expansion GEMM (C rows [i0, i1) = bias + A * B, fp32 acc) ----
 // Register tiles mirror the fp64 GEMM at twice the lane width: 2 rows x 16
@@ -87,16 +72,6 @@ void matvec_t_rows_avx2(ConstMatrixView a, const double* x, double* y,
                         std::size_t i0, std::size_t i1);
 void matvec_t_rows_avx512(ConstMatrixView a, const double* x, double* y,
                           std::size_t i0, std::size_t i1);
-
-// ---- Householder reflector apply (QR trailing update) ------------------
-// Applies reflector k (v in column k below the diagonal, scalar tau) to
-// columns [k + 1, n) of the packed factor: the v·A sweep into s[] and the
-// rank-1 update A -= v s^T, vectorised across columns (contiguous row
-// loads). `s` is caller scratch of at least n - k - 1 doubles.
-void qr_reflect_columns_avx2(MatrixView qr, std::size_t k, double tau,
-                             double* s);
-void qr_reflect_columns_avx512(MatrixView qr, std::size_t k, double tau,
-                               double* s);
 
 // ---- Givens sweep of the row-downdate (columns [0, n) of R) ------------
 // Applies the precomputed rotations (c[i], s[i]) bottom-up to every

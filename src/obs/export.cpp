@@ -141,16 +141,10 @@ void render_engine(std::string& out, const runtime::EngineStats& stats) {
              m.expansion_backend);
     line_u64(out, "eigenmaps_model_dense_expansion_bytes", label,
              m.dense_expansion_bytes);
-    line_u64(out, "eigenmaps_model_sparse_expansion_bytes", label,
-             m.sparse_expansion_bytes);
     line_u64(out, "eigenmaps_model_fp32_expansion_bytes", label,
              m.fp32_expansion_bytes);
     line_u64(out, "eigenmaps_model_factor_cache_bytes", label,
              m.factor_cache_bytes);
-    line_f64(out, "eigenmaps_model_sparse_stored_density", label,
-             m.sparse_stored_density);
-    line_f64(out, "eigenmaps_model_sparse_dropped_mass", label,
-             m.sparse_dropped_mass);
     line_f64(out, "eigenmaps_model_fp32_measured_error", label,
              m.fp32_measured_error);
   }

@@ -24,7 +24,7 @@ enum class Stage : std::uint8_t {
   kIngest = 0,  // producer/router origin -> frame resident in a pending batch
   kQueueWait,   // batch cut + enqueued -> dequeued by a worker
   kSolve,       // masked/full QR coefficient solve
-  kExpand,      // subspace expansion (dense64 / sparse64 / fp32 backend)
+  kExpand,      // subspace expansion (dense64 / fp32 backend)
   kDeliver,     // re-sequencing + result callback
   kRoute,       // router push_frame -> frame on the owner shard's wire
   kReplay,      // un-acked frames replayed to a new owner after a failure

@@ -308,10 +308,12 @@ AdaptationController::RetrainOutcome AdaptationController::retrain_once() {
       options_.retrain_order != 0 ? options_.retrain_order : current->order();
   core::PcaOptions pca = options_.pca;
   pca.max_order = k;
+  numerics::Matrix warm;  // outlives the PcaBasis build that reads it
   if (pca.method == core::PcaMethod::kOrthogonalIteration) {
     // The serving subspace is usually close to the refreshed one; a few
     // warm sweeps instead of a cold eigendecomposition (DESIGN.md §11).
-    pca.warm_start = &current->subspace();
+    warm = current->subspace();
+    pca.warm_start = &warm;
   }
   try {
     const core::PcaBasis basis(training, pca);
@@ -324,11 +326,10 @@ AdaptationController::RetrainOutcome AdaptationController::retrain_once() {
     // against the fresh basis, and the ceiling re-checks conditioning —
     // the sensors are hardware, so a placement the new basis cannot
     // support must fail the retrain, not move the sensors. The expansion
-    // backend follows the model being replaced, not the environment: a
-    // sparse or fp32 model stays sparse or fp32 across retrains, and an
-    // fp32 replacement the fresh basis pushes over its error budget fails
-    // at register_model below (counted as a failed retrain, old model
-    // keeps serving).
+    // backend follows the model being replaced, not the environment: an
+    // fp32 model stays fp32 across retrains, and an fp32 replacement the
+    // fresh basis pushes over its error budget fails at register_model
+    // below (counted as a failed retrain, old model keeps serving).
     auto fresh = std::make_shared<const core::ReconstructionModel>(
         basis, k, current->sensors(), training.mean(),
         current->expansion_options());

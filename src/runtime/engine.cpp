@@ -581,19 +581,10 @@ EngineStats ReconstructionEngine::stats() const {
       model_stats.expansion_backend =
           static_cast<std::uint32_t>(model.expansion_backend());
       model_stats.dense_expansion_bytes = model.dense_expansion_bytes();
-      switch (model.expansion_backend()) {
-        case core::ExpansionBackend::kSparse64:
-          model_stats.sparse_expansion_bytes = model.expansion_bytes();
-          break;
-        case core::ExpansionBackend::kFp32:
-          model_stats.fp32_expansion_bytes = model.expansion_bytes();
-          break;
-        case core::ExpansionBackend::kDense64:
-          break;
+      if (model.expansion_backend() == core::ExpansionBackend::kFp32) {
+        model_stats.fp32_expansion_bytes = model.expansion_bytes();
       }
       model_stats.factor_cache_bytes = entry->cache->resident_bytes();
-      model_stats.sparse_stored_density = model.sparse_stored_density();
-      model_stats.sparse_dropped_mass = model.sparse_dropped_mass();
       model_stats.fp32_measured_error = model.fp32_measured_error();
     }
     if (options_.observer != nullptr) {

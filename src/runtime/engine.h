@@ -181,24 +181,20 @@ struct ModelStats {
   // -- expansion-backend identity and memory accounting (DESIGN.md §14) --
   // Gauges, not counters: sampled from the currently registered version at
   // stats() time, so a hot swap re-reads them from the replacement model.
-  /// core::ExpansionBackend of the registered model (0 dense64, 1
-  /// sparse64, 2 fp32).
+  /// core::ExpansionBackend of the registered model (0 dense64, 2 fp32).
   std::uint32_t expansion_backend = 0;
-  /// Bytes the dense fp64 operator (k x N doubles) would occupy — the
-  /// baseline every reduction is quoted against. Always filled.
+  /// Resident bytes of the fp64 V_k^T (k x N doubles) the model holds on
+  /// every backend. Always filled.
   std::uint64_t dense_expansion_bytes = 0;
-  /// Blocked-CSR operator bytes (values + block columns + row pointers);
-  /// nonzero only for the sparse64 backend.
-  std::uint64_t sparse_expansion_bytes = 0;
-  /// fp32 operator + bias bytes; nonzero only for the fp32 backend.
+  /// Kept only so the frozen serving ledger (perfbench/serve.cpp) still
+  /// compiles; always 0, never on the wire.
+  static constexpr std::uint64_t sparse_expansion_bytes = 0;
+  /// fp32 operator + bias bytes, held on top of the fp64 V_k^T; nonzero
+  /// only for the fp32 backend.
   std::uint64_t fp32_expansion_bytes = 0;
   /// Resident bytes of the model's FactorCache: downdate seed R plus every
   /// cached per-mask factor.
   std::uint64_t factor_cache_bytes = 0;
-  /// sparse64: stored blocks / total blocks (1.0 otherwise).
-  double sparse_stored_density = 1.0;
-  /// sparse64: relative Frobenius mass dropped by thresholding.
-  double sparse_dropped_mass = 0.0;
   /// fp32: expansion error measured against the fp64 operator at model
   /// construction (what the registry's publish gate enforced).
   double fp32_measured_error = 0.0;

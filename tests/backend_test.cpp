@@ -1,15 +1,16 @@
-// Expansion backends (DESIGN.md §14): the blocked-CSR spmm's bitwise
-// contract across ISA tiers and its threshold-0 delegation to the dense
-// GEMM, the fp32 expansion tier's error budget at the paper size (full
-// and masked paths), the registry's loud rejection of over-budget fp32
-// models, per-model memory accounting, and the log-linear latency
-// histogram's bucket math and interpolated quantiles.
+// Expansion backends (DESIGN.md §14): the fp32 GEMM's error bound across
+// ISA tiers, the fp32 expansion tier's error budget at the paper size
+// (full and masked paths), the registry's loud rejection of over-budget
+// fp32 models, the single resident V_k^T behind subspace(), per-model
+// memory accounting, and the log-linear latency histogram's bucket math
+// and interpolated quantiles.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,14 +20,11 @@
 #include "core/factor_cache.h"
 #include "core/model.h"
 #include "core/reconstructor.h"
-#include "numerics/blas.h"
 #include "numerics/gemm_f32.h"
 #include "numerics/isa.h"
 #include "numerics/rng.h"
-#include "numerics/spmm.h"
 #include "runtime/engine.h"
 #include "runtime/registry.h"
-#include "sparse/blocked_csr.h"
 
 namespace {
 
@@ -47,67 +45,6 @@ numerics::Matrix random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-/// A k x n operator whose odd 8-wide column blocks are tiny (1e-8 scale),
-/// so a modest relative threshold drops roughly half the blocks.
-numerics::Matrix half_tiny_operator(std::size_t k, std::size_t n,
-                                    std::uint64_t seed) {
-  numerics::Matrix b = random_matrix(k, n, seed);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if ((j / sparse::BlockedCsr::kBlockWidth) % 2 == 1) b(i, j) *= 1e-8;
-    }
-  }
-  return b;
-}
-
-numerics::BlockedOperatorView operator_view(const sparse::BlockedCsr& csr) {
-  return numerics::BlockedOperatorView{csr.values(), csr.block_cols(),
-                                       csr.row_ptr(), csr.rows(), csr.cols()};
-}
-
-/// Scalar spmm reference: bias-seeded rows, k ascending, stored blocks in
-/// column order, separate mul/add — the bit pattern every tier reproduces.
-void ref_spmm(numerics::ConstMatrixView a, const sparse::BlockedCsr& csr,
-              const numerics::Vector& bias, numerics::MatrixView c) {
-  const std::size_t n = csr.cols();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_data(i);
-    double* crow = c.row_data(i);
-    for (std::size_t j = 0; j < n; ++j) crow[j] = bias[j];
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = arow[k];
-      for (std::uint32_t blk = csr.row_ptr()[k]; blk < csr.row_ptr()[k + 1];
-           ++blk) {
-        const std::size_t j0 =
-            static_cast<std::size_t>(csr.block_cols()[blk]) *
-            sparse::BlockedCsr::kBlockWidth;
-        const double* v =
-            csr.values() +
-            static_cast<std::size_t>(blk) * sparse::BlockedCsr::kBlockWidth;
-        const std::size_t w =
-            n - j0 < sparse::BlockedCsr::kBlockWidth
-                ? n - j0
-                : sparse::BlockedCsr::kBlockWidth;
-        for (std::size_t l = 0; l < w; ++l) {
-          crow[j0 + l] = crow[j0 + l] + aik * v[l];
-        }
-      }
-    }
-  }
-}
-
-void expect_bitwise_equal(numerics::ConstMatrixView a,
-                          numerics::ConstMatrixView b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    EXPECT_EQ(std::memcmp(a.row_data(i), b.row_data(i),
-                          a.cols() * sizeof(double)),
-              0)
-        << "row " << i << " differs bitwise";
-  }
-}
-
 double max_abs(numerics::ConstMatrixView m) {
   double out = 0.0;
   for (std::size_t i = 0; i < m.rows(); ++i) {
@@ -126,147 +63,6 @@ double max_abs_diff(numerics::ConstMatrixView a, numerics::ConstMatrixView b) {
     }
   }
   return out;
-}
-
-TEST(BlockedCsr, ThresholdZeroStoresEverythingAndRoundTrips) {
-  const numerics::Matrix dense = random_matrix(11, 77, 1);
-  const sparse::BlockedCsr csr(dense, 0.0);
-  EXPECT_TRUE(csr.fully_dense());
-  EXPECT_EQ(csr.rows(), 11u);
-  EXPECT_EQ(csr.cols(), 77u);
-  EXPECT_EQ(csr.blocks_per_row(), 10u);  // ceil(77 / 8)
-  EXPECT_EQ(csr.stored_blocks(), 110u);
-  EXPECT_DOUBLE_EQ(csr.stored_density(), 1.0);
-  EXPECT_DOUBLE_EQ(csr.dropped_mass(), 0.0);
-  const numerics::ConstMatrixView view = csr.dense_view();
-  for (std::size_t i = 0; i < dense.rows(); ++i) {
-    for (std::size_t j = 0; j < dense.cols(); ++j) {
-      EXPECT_EQ(view(i, j), dense(i, j));
-    }
-  }
-  // Padding past column 77 must be zero in every row's last block.
-  for (std::size_t i = 0; i < csr.rows(); ++i) {
-    const double* last =
-        csr.values() + (csr.row_ptr()[i + 1] - 1) *
-                           static_cast<std::uint32_t>(
-                               sparse::BlockedCsr::kBlockWidth);
-    for (std::size_t l = 77 % 8; l < 8; ++l) EXPECT_EQ(last[l], 0.0);
-  }
-}
-
-TEST(BlockedCsr, ThresholdDropsTinyBlocksWithBoundedMass) {
-  const std::size_t k = 11, n = 80;
-  const numerics::Matrix dense = half_tiny_operator(k, n, 2);
-  const double threshold = 1e-3;
-  const sparse::BlockedCsr csr(dense, threshold);
-  EXPECT_FALSE(csr.fully_dense());
-  // Odd blocks are ~1e-8 of the max; they must all be gone, even blocks
-  // must all survive.
-  EXPECT_EQ(csr.stored_blocks(), k * (n / 8 / 2));
-  EXPECT_NEAR(csr.stored_density(), 0.5, 1e-12);
-  EXPECT_GT(csr.dropped_mass(), 0.0);
-  // Dropped entries are < cutoff each, so the relative Frobenius mass of
-  // the dropped half is far below the threshold itself.
-  EXPECT_LT(csr.dropped_mass(), threshold);
-}
-
-TEST(Spmm, BitIdenticalToDenseGemmAtThresholdZeroAcrossIsas) {
-  const std::size_t m = 13, k = 11, n = 77;
-  const numerics::Matrix a = random_matrix(m, k, 3);
-  const numerics::Matrix b = random_matrix(k, n, 4);
-  numerics::Vector bias(n);
-  numerics::Rng rng(5);
-  for (std::size_t j = 0; j < n; ++j) bias[j] = rng.normal();
-  const sparse::BlockedCsr csr(b, 0.0);
-  ASSERT_TRUE(csr.fully_dense());
-
-  numerics::Matrix dense_out(m, n);
-  numerics::matmul_bias_into(a, b, bias, dense_out.view());
-
-  IsaOverrideGuard guard;
-  for (const numerics::Isa isa : numerics::runnable_isas()) {
-    numerics::set_isa_override(isa);
-    numerics::Matrix sparse_out(m, n);
-    numerics::spmm_bias_into(a, operator_view(csr), bias, sparse_out.view());
-    // Delegation makes this the dense GEMM's own result: identical within
-    // a tier, and within the GEMM family's documented ULP bound across
-    // tiers — here simply require bit-identity to this tier's dense call.
-    numerics::Matrix tier_dense(m, n);
-    numerics::matmul_bias_into(a, b, bias, tier_dense.view());
-    expect_bitwise_equal(sparse_out, tier_dense);
-  }
-}
-
-TEST(Spmm, BitIdenticalAcrossIsasAndMatchesScalarReference) {
-  const std::size_t m = 9, k = 11, n = 76;
-  const numerics::Matrix a = random_matrix(m, k, 6);
-  const numerics::Matrix b = half_tiny_operator(k, n, 7);
-  numerics::Vector bias(n);
-  numerics::Rng rng(8);
-  for (std::size_t j = 0; j < n; ++j) bias[j] = rng.normal();
-  const sparse::BlockedCsr csr(b, 1e-3);
-  ASSERT_FALSE(csr.fully_dense());
-
-  numerics::Matrix expected(m, n);
-  ref_spmm(a, csr, bias, expected.view());
-
-  IsaOverrideGuard guard;
-  for (const numerics::Isa isa : numerics::runnable_isas()) {
-    numerics::set_isa_override(isa);
-    numerics::Matrix out(m, n);
-    numerics::spmm_bias_into(a, operator_view(csr), bias, out.view());
-    expect_bitwise_equal(out, expected);
-  }
-}
-
-TEST(Spmm, StridedViewsMatchContiguous) {
-  const std::size_t m = 7, k = 11, n = 60, pad = 9;
-  const numerics::Matrix a_parent = random_matrix(m, k + pad, 9);
-  const numerics::ConstMatrixView a(a_parent.row_data(0), m, k, k + pad);
-  const numerics::Matrix b = half_tiny_operator(k, n, 10);
-  numerics::Vector bias(n);
-  numerics::Rng rng(11);
-  for (std::size_t j = 0; j < n; ++j) bias[j] = rng.normal();
-  const sparse::BlockedCsr csr(b, 1e-3);
-
-  numerics::Matrix a_compact(m, k);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < k; ++j) a_compact(i, j) = a(i, j);
-  }
-  numerics::Matrix expected(m, n);
-  numerics::spmm_bias_into(a_compact, operator_view(csr), bias,
-                           expected.view());
-
-  numerics::Matrix c_parent(m, n + pad);
-  const numerics::MatrixView c(c_parent.row_data(0), m, n, n + pad);
-  IsaOverrideGuard guard;
-  for (const numerics::Isa isa : numerics::runnable_isas()) {
-    numerics::set_isa_override(isa);
-    numerics::spmm_bias_into(a, operator_view(csr), bias, c);
-    expect_bitwise_equal(c, expected);
-  }
-}
-
-TEST(Spmm, NonzeroThresholdErrorBoundedByDroppedEntries) {
-  const std::size_t m = 16, k = 12, n = 96;
-  const numerics::Matrix a = random_matrix(m, k, 12);
-  const numerics::Matrix b = half_tiny_operator(k, n, 13);
-  numerics::Vector bias(n);
-  for (std::size_t j = 0; j < n; ++j) bias[j] = 0.25 * j;
-  const double threshold = 1e-3;
-  const sparse::BlockedCsr csr(b, threshold);
-
-  numerics::Matrix dense_out(m, n), sparse_out(m, n);
-  numerics::matmul_bias_into(a, b, bias, dense_out.view());
-  numerics::spmm_bias_into(a, operator_view(csr), bias, sparse_out.view());
-
-  // Every dropped entry is below cutoff = threshold * max|b|, and each
-  // output element sums at most k of them scaled by |a| <= max|a|.
-  const double cutoff = threshold * max_abs(b);
-  const double bound = static_cast<double>(k) * max_abs(a) * cutoff +
-                       64.0 * std::numeric_limits<double>::epsilon() *
-                           max_abs(dense_out);
-  EXPECT_LE(max_abs_diff(sparse_out, dense_out), bound);
 }
 
 TEST(GemmF32, WithinFloatPrecisionOfWidenedReferenceAcrossIsas) {
@@ -358,42 +154,6 @@ struct PaperFixture {
   core::SensorLocations sensors;
 };
 
-TEST(SparseBackend, ModelBitIdenticalToDenseAtThresholdZero) {
-  const PaperFixture fx;
-  const auto dense = fx.model({});
-  core::ExpansionOptions sparse_opts;
-  sparse_opts.backend = core::ExpansionBackend::kSparse64;
-  sparse_opts.sparse_threshold = 0.0;
-  const auto sparse = fx.model(sparse_opts);
-  EXPECT_DOUBLE_EQ(sparse->sparse_stored_density(), 1.0);
-  EXPECT_DOUBLE_EQ(sparse->sparse_dropped_mass(), 0.0);
-
-  const numerics::Matrix readings = fx.frames(32, 17);
-  const numerics::Matrix want = dense->reconstruct_batch(readings);
-  const numerics::Matrix got = sparse->reconstruct_batch(readings);
-  expect_bitwise_equal(got, want);
-}
-
-TEST(SparseBackend, NonzeroThresholdStaysCloseToDense) {
-  const PaperFixture fx;
-  const auto dense = fx.model({});
-  core::ExpansionOptions sparse_opts;
-  sparse_opts.backend = core::ExpansionBackend::kSparse64;
-  sparse_opts.sparse_threshold = 0.05;
-  const auto sparse = fx.model(sparse_opts);
-  EXPECT_LE(sparse->sparse_stored_density(), 1.0);
-  EXPECT_GE(sparse->sparse_stored_density(), 0.0);
-
-  const numerics::Matrix readings = fx.frames(16, 18);
-  const numerics::Matrix want = dense->reconstruct_batch(readings);
-  const numerics::Matrix got = sparse->reconstruct_batch(readings);
-  // Dropped blocks carry at most `dropped_mass` of the operator's
-  // Frobenius mass; the reconstruction must stay within a small multiple
-  // of the threshold relative to the signal.
-  EXPECT_LE(max_abs_diff(got, want),
-            2.0 * sparse_opts.sparse_threshold * max_abs(want) + 1e-9);
-}
-
 TEST(Fp32Backend, ErrorWithinBudgetAtPaperSize) {
   const PaperFixture fx;
   core::ExpansionOptions fp32_opts;
@@ -449,34 +209,52 @@ TEST(Fp32Backend, RegistryRejectsOverBudgetModelLoudly) {
   EXPECT_NE(registry.resolve(7), nullptr);
 }
 
+TEST(Model, SubspaceIsTheBasisSliceBitwiseOnEveryBackend) {
+  // subspace() transposes the one resident V_k^T back out; the retrainer's
+  // warm start and the shard protocol both read the basis through it.
+  const PaperFixture fx;
+  core::ExpansionOptions fp32_opts;
+  fp32_opts.backend = core::ExpansionBackend::kFp32;
+  const numerics::Matrix& v = fx.basis.vectors();
+  for (const auto& model : {fx.model({}), fx.model(fp32_opts)}) {
+    const numerics::Matrix sub = model->subspace();
+    ASSERT_EQ(sub.rows(), v.rows());
+    ASSERT_EQ(sub.cols(), 16u);
+    for (std::size_t i = 0; i < sub.rows(); ++i) {
+      EXPECT_EQ(std::memcmp(sub.row_data(i), v.row_data(i),
+                            16 * sizeof(double)),
+                0)
+          << "row " << i << " differs bitwise";
+    }
+  }
+}
+
 TEST(Backends, MemoryAccountingAndEngineGauges) {
   const PaperFixture fx;
   const std::size_t n = fx.basis.cell_count();
+  const std::size_t k = 16;
   const auto dense = fx.model({});
-  core::ExpansionOptions sparse_opts;
-  sparse_opts.backend = core::ExpansionBackend::kSparse64;
-  sparse_opts.sparse_threshold = 0.0;
-  const auto sparse = fx.model(sparse_opts);
   core::ExpansionOptions fp32_opts;
   fp32_opts.backend = core::ExpansionBackend::kFp32;
   const auto fp32 = fx.model(fp32_opts);
 
-  EXPECT_EQ(dense->dense_expansion_bytes(), 16 * n * sizeof(double));
+  // Every model holds exactly one fp64 V_k^T, whatever its backend.
+  EXPECT_EQ(dense->dense_expansion_bytes(), k * n * sizeof(double));
+  EXPECT_EQ(fp32->dense_expansion_bytes(), k * n * sizeof(double));
   EXPECT_EQ(dense->expansion_bytes(), dense->dense_expansion_bytes());
-  EXPECT_EQ(fp32->expansion_bytes(), 16 * n * sizeof(float) +
+  EXPECT_EQ(fp32->expansion_bytes(), k * n * sizeof(float) +
                                          n * sizeof(float));
-  // The acceptance bar: fp32 cuts expansion memory by at least 40%.
+  // The operator the fp32 kernel streams is at least 40% smaller than the
+  // fp64 one the dense GEMM streams.
   const double reduction =
       1.0 - static_cast<double>(fp32->expansion_bytes()) /
                 static_cast<double>(fp32->dense_expansion_bytes());
   EXPECT_GE(reduction, 0.40);
-  EXPECT_GT(sparse->expansion_bytes(), 0u);
 
   // The engine's stats overlay surfaces the same gauges per model id.
   runtime::ModelRegistry registry;
   registry.register_model(1, dense);
-  registry.register_model(2, sparse);
-  registry.register_model(3, fp32);
+  registry.register_model(2, fp32);
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = 4;
@@ -484,7 +262,7 @@ TEST(Backends, MemoryAccountingAndEngineGauges) {
       registry, options,
       [](std::uint64_t, std::uint64_t, numerics::ConstMatrixView) {});
   const numerics::Matrix readings = fx.frames(4, 21);
-  for (std::uint64_t id = 1; id <= 3; ++id) {
+  for (std::uint64_t id = 1; id <= 2; ++id) {
     for (std::size_t f = 0; f < 4; ++f) {
       engine.push_frame(id, readings.row_view(f), id);
     }
@@ -495,35 +273,39 @@ TEST(Backends, MemoryAccountingAndEngineGauges) {
   EXPECT_EQ(m1.expansion_backend,
             static_cast<std::uint32_t>(core::ExpansionBackend::kDense64));
   EXPECT_EQ(m1.dense_expansion_bytes, dense->dense_expansion_bytes());
-  EXPECT_EQ(m1.sparse_expansion_bytes, 0u);
   EXPECT_EQ(m1.fp32_expansion_bytes, 0u);
   const runtime::ModelStats& m2 = stats.models.at(2);
   EXPECT_EQ(m2.expansion_backend,
-            static_cast<std::uint32_t>(core::ExpansionBackend::kSparse64));
-  EXPECT_EQ(m2.sparse_expansion_bytes, sparse->expansion_bytes());
-  EXPECT_DOUBLE_EQ(m2.sparse_stored_density, 1.0);
-  const runtime::ModelStats& m3 = stats.models.at(3);
-  EXPECT_EQ(m3.expansion_backend,
             static_cast<std::uint32_t>(core::ExpansionBackend::kFp32));
-  EXPECT_EQ(m3.fp32_expansion_bytes, fp32->expansion_bytes());
-  EXPECT_EQ(m3.fp32_measured_error, fp32->fp32_measured_error());
+  EXPECT_EQ(m2.fp32_expansion_bytes, fp32->expansion_bytes());
+  EXPECT_EQ(m2.fp32_measured_error, fp32->fp32_measured_error());
+  // An fp32 model's resident operator bytes: the fp64 V_k^T plus the fp32
+  // operator and bias on top — more than dense64, not less.
+  EXPECT_EQ(m2.dense_expansion_bytes + m2.fp32_expansion_bytes,
+            k * n * sizeof(double) + k * n * sizeof(float) +
+                n * sizeof(float));
 }
 
 TEST(ExpansionOptions, ResolvedFromEnvironment) {
   ::setenv("EIGENMAPS_EXPANSION_BACKEND", "fp32", 1);
-  ::setenv("EIGENMAPS_SPARSE_THRESHOLD", "0.05", 1);
   ::setenv("EIGENMAPS_FP32_ERROR_BUDGET", "1e-5", 1);
   const core::ExpansionOptions opts = core::default_expansion_options();
   EXPECT_EQ(opts.backend, core::ExpansionBackend::kFp32);
-  EXPECT_DOUBLE_EQ(opts.sparse_threshold, 0.05);
   EXPECT_DOUBLE_EQ(opts.fp32_error_budget, 1e-5);
 
-  ::setenv("EIGENMAPS_EXPANSION_BACKEND", "sparse64", 1);
-  EXPECT_EQ(core::default_expansion_options().backend,
-            core::ExpansionBackend::kSparse64);
-
-  ::setenv("EIGENMAPS_EXPANSION_BACKEND", "float16", 1);
-  EXPECT_THROW(core::default_expansion_options(), std::invalid_argument);
+  // Unknown names, the retired sparse64 among them, throw naming the
+  // variable.
+  for (const char* name : {"sparse64", "float16"}) {
+    ::setenv("EIGENMAPS_EXPANSION_BACKEND", name, 1);
+    try {
+      core::default_expansion_options();
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("EIGENMAPS_EXPANSION_BACKEND"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 
   // The Reconstructor front end resolves the environment at build, so
   // the backend is a deploy-time opt-in with no code change.
@@ -537,7 +319,6 @@ TEST(ExpansionOptions, ResolvedFromEnvironment) {
             core::ExpansionBackend::kFp32);
 
   ::unsetenv("EIGENMAPS_EXPANSION_BACKEND");
-  ::unsetenv("EIGENMAPS_SPARSE_THRESHOLD");
   ::unsetenv("EIGENMAPS_FP32_ERROR_BUDGET");
   EXPECT_EQ(core::default_expansion_options().backend,
             core::ExpansionBackend::kDense64);

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -243,24 +244,69 @@ TEST(DistProtocol, ResultDescriptorDecodeIsTotal) {
 
 TEST(DistProtocol, RegisterModelRoundTripRebuildsBitIdenticalModel) {
   const Fixture fx;
-  std::vector<std::uint8_t> payload;
-  dist::encode_register_model(5, *fx.rec.model(), payload);
-  const dist::RegisterModelMsg msg =
-      dist::decode_register_model(payload.data(), payload.size());
-  EXPECT_EQ(msg.model, 5u);
-  const auto rebuilt = dist::build_model(msg);
-
-  // The worker-side rebuild recomputes the QR from the same bits, so the
-  // reconstruction must be byte-identical to the original model's.
+  core::ExpansionOptions fp32_opts;
+  fp32_opts.backend = core::ExpansionBackend::kFp32;
+  fp32_opts.fp32_error_budget = 2e-4;
+  const auto fp32 = std::make_shared<const core::ReconstructionModel>(
+      fx.basis, 8, fx.sensors, fx.mean, fp32_opts);
   numerics::Matrix frames(6, fx.sensors.size());
   for (std::size_t f = 0; f < 6; ++f) frames.set_row(f, fx.frame(1, f));
-  const numerics::Matrix expect = fx.rec.model()->reconstruct_batch(frames);
-  const numerics::Matrix got = rebuilt->reconstruct_batch(frames);
-  ASSERT_EQ(got.rows(), expect.rows());
-  for (std::size_t f = 0; f < got.rows(); ++f) {
-    EXPECT_EQ(std::memcmp(got.row_data(f), expect.row_data(f),
-                          got.cols() * sizeof(double)),
-              0);
+
+  for (const auto& model : {fx.rec.model(), fp32}) {
+    std::vector<std::uint8_t> payload;
+    dist::encode_register_model(5, *model, payload);
+    const dist::RegisterModelMsg msg =
+        dist::decode_register_model(payload.data(), payload.size());
+    EXPECT_EQ(msg.model, 5u);
+    // v6: the expansion backend and its budget cross the wire, so the
+    // shard builds (and gates) the model the router was handed.
+    EXPECT_EQ(msg.expansion.backend, model->expansion_backend());
+    EXPECT_EQ(msg.expansion.fp32_error_budget,
+              model->expansion_options().fp32_error_budget);
+    const auto rebuilt = dist::build_model(msg);
+    EXPECT_EQ(rebuilt->expansion_backend(), model->expansion_backend());
+    EXPECT_EQ(rebuilt->fp32_measured_error(), model->fp32_measured_error());
+
+    // The worker-side rebuild recomputes the QR (and any fp32 operator)
+    // from the same bits, so the reconstruction must be byte-identical to
+    // the original model's.
+    const numerics::Matrix expect = model->reconstruct_batch(frames);
+    const numerics::Matrix got = rebuilt->reconstruct_batch(frames);
+    ASSERT_EQ(got.rows(), expect.rows());
+    for (std::size_t f = 0; f < got.rows(); ++f) {
+      EXPECT_EQ(std::memcmp(got.row_data(f), expect.row_data(f),
+                            got.cols() * sizeof(double)),
+                0);
+    }
+
+    // Truncation anywhere, the backend and budget tail included, throws.
+    for (std::size_t cut : {std::size_t{0}, payload.size() / 2,
+                            payload.size() - 9, payload.size() - 1}) {
+      EXPECT_THROW(dist::decode_register_model(payload.data(), cut),
+                   dist::ProtocolError)
+          << cut;
+    }
+  }
+
+  // The payload ends with the backend byte, then the budget's 8 bytes.
+  std::vector<std::uint8_t> payload;
+  for (const std::uint8_t bad : {1, 3, 255}) {
+    dist::encode_register_model(5, *fp32, payload);
+    payload[payload.size() - 9] = bad;
+    EXPECT_THROW(dist::decode_register_model(payload.data(), payload.size()),
+                 dist::ProtocolError)
+        << "backend byte " << int{bad};
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1e-6,
+                           1.5, std::numeric_limits<double>::infinity()}) {
+    core::ExpansionOptions opts = fp32_opts;
+    opts.fp32_error_budget = bad;  // the model stores it unchecked
+    dist::encode_register_model(
+        5, core::ReconstructionModel(fx.basis, 8, fx.sensors, fx.mean, opts),
+        payload);
+    EXPECT_THROW(dist::decode_register_model(payload.data(), payload.size()),
+                 dist::ProtocolError)
+        << "budget " << bad;
   }
 }
 
@@ -556,13 +602,14 @@ bool wait_until(const std::function<bool()>& done,
 void push_wave(
     dist::ShardRouter& router, const Fixture& fx,
     const std::vector<std::pair<std::uint64_t, core::SensorBitmask>>& streams,
-    std::size_t first_frame, std::size_t last_frame) {
+    std::size_t first_frame, std::size_t last_frame,
+    runtime::ModelId model = 1) {
   for (std::size_t f = first_frame; f < last_frame; ++f) {
     for (const auto& [stream, mask] : streams) {
       const numerics::Vector frame = fx.frame(stream, f);
       router.push_frame(
-          stream, numerics::ConstVectorView(frame.data(), frame.size()), 1,
-          mask);
+          stream, numerics::ConstVectorView(frame.data(), frame.size()),
+          model, mask);
     }
   }
 }
@@ -652,6 +699,61 @@ TEST(DistRouter, TwoShardsMatchSingleProcessGoldenByteForByte) {
     if (shard.engine.frames_completed > 0) ++loaded;
   }
   EXPECT_GE(loaded, 1u);
+}
+
+TEST(DistRouter, ShardsKeepServingTheModelWhenTheyRejectItsReplacement) {
+  // An fp32 replacement over its error budget must be refused by every
+  // shard's own registry, not only by the router's mirror: shards that
+  // built and swapped it in would serve a basis push_frame never checked.
+  const Fixture fx;
+  constexpr std::size_t kBatch = 8;
+  constexpr std::size_t kFrames = 24;
+  std::vector<std::pair<std::uint64_t, core::SensorBitmask>> streams;
+  for (std::uint64_t s = 100; s < 116; ++s) {  // these ids span both shards
+    streams.emplace_back(s, core::SensorBitmask{});
+  }
+
+  Collector collector;
+  dist::ShardRouter router(test_router_options(2, kBatch),
+                           collector.callback());
+  router.register_model(1, fx.rec.model());
+  core::ExpansionOptions tight;
+  tight.backend = core::ExpansionBackend::kFp32;
+  tight.fp32_error_budget = 1e-12;  // unreachable for fp32 arithmetic
+  const numerics::Vector other_mean(fx.basis.cell_count(), 45.0);
+  EXPECT_THROW(router.register_model(
+                   1, std::make_shared<const core::ReconstructionModel>(
+                          fx.basis, 8, fx.sensors, other_mean, tight)),
+               std::runtime_error);
+
+  push_wave(router, fx, streams, 0, kFrames);
+  router.drain();
+  const auto golden = golden_run(fx, kBatch, streams, kFrames);
+  {
+    std::lock_guard<std::mutex> lock(collector.mutex);
+    EXPECT_FALSE(collector.order_violated);
+    expect_byte_identical(collector.rows, golden);
+  }
+
+  // An fp32 model within budget is built as fp32 on every shard, so the
+  // aggregate reports its backend and two shards' worth of its bytes.
+  core::ExpansionOptions fp32_opts;
+  fp32_opts.backend = core::ExpansionBackend::kFp32;
+  const auto fp32 = std::make_shared<const core::ReconstructionModel>(
+      fx.basis, 8, fx.sensors, fx.mean, fp32_opts);
+  router.register_model(2, fp32);
+  push_wave(router, fx, streams, kFrames, kFrames + kBatch, /*model=*/2);
+  router.drain();
+  const dist::ClusterStats stats = router.stats();
+  for (const auto& shard : stats.shards) {
+    ASSERT_EQ(shard.engine.models.count(2), 1u)
+        << "shard " << shard.shard << " never served model 2";
+  }
+  const runtime::ModelStats& m = stats.aggregate.models.at(2);
+  EXPECT_EQ(m.expansion_backend,
+            static_cast<std::uint32_t>(core::ExpansionBackend::kFp32));
+  EXPECT_EQ(m.fp32_expansion_bytes, 2 * fp32->expansion_bytes());
+  EXPECT_EQ(m.dense_expansion_bytes, 2 * fp32->dense_expansion_bytes());
 }
 
 /// Restores the process-global tracer to the off state when a traced test
