@@ -1,5 +1,5 @@
-// Accuracy / performance harness for the SIMD micro-kernels
-// (DESIGN.md §13), styled after SparseLib-type kernel benchmarks:
+// Accuracy / performance harness for the numerics kernels (DESIGN.md §13),
+// styled after SparseLib-type kernel benchmarks:
 //
 //   kernel_bench acc  [kernel [shape...]]   verify each runnable ISA tier
 //   kernel_bench perf [kernel [shape...]]   GFLOP/s per tier; the full
@@ -11,14 +11,14 @@
 //                                           (CI iterates EIGENMAPS_FORCE_ISA
 //                                           over these)
 //
-// acc compares every tier against the contraction-free scalar references
-// in reference_kernels.h: bit-for-bit for the golden-path kernels (gram,
-// matvec, matvec_t, qr, downdate), ULP-bounded for the
-// -ffp-contract=fast GEMM family (matmul, matmul_bias, matmul_acc;
-// float-epsilon-bounded for gemm_f32). GEMM, gram and gemm_f32 acc also
-// run on strided views (row stride > cols) to exercise the masked edge
-// columns. This translation unit must stay -ffp-contract=off so the
-// references define exact bit patterns.
+// acc compares the library against the contraction-free scalar references
+// in reference_kernels.h: ULP-bounded for the -ffp-contract=fast GEMM
+// family (matmul, matmul_bias, matmul_acc; float-epsilon-bounded for
+// gemm_f32) on every tier, bit-for-bit for the golden-path kernels (gram,
+// matvec, matvec_t, qr, downdate), which have no tiers (see dispatched()).
+// GEMM, gram and gemm_f32 acc also run on strided views (row stride >
+// cols) to exercise the masked edge columns. This translation unit must
+// stay -ffp-contract=off so the references define exact bit patterns.
 //
 // Kernels and shapes:
 //   matmul m k n | matmul_bias m k n | matmul_acc m k n | gemm_f32 m k n
@@ -81,7 +81,8 @@ struct Case {
 /// build and FactorCache refactor runs, and the downdate widths the
 /// dropout path hits), larger QRs and square GEMMs for context, and
 /// acc-only edge shapes that stress the masked tails (cols % 8/16 != 0,
-/// rows % tile != 0).
+/// rows % tile != 0). matvec and matvec_t are acc-only: nothing in the
+/// library calls them, so their speed serves no caller.
 const std::vector<Case>& sweep() {
   static const std::vector<Case> kSweep = {
       {"matmul_bias", {1, 16, 3360}, Mode::kBoth},
@@ -105,12 +106,12 @@ const std::vector<Case>& sweep() {
       {"gram", {3360, 48}, Mode::kBoth},
       {"gram", {256, 64}, Mode::kBoth},
       {"gram", {97, 37}, Mode::kAccOnly},
-      {"matvec", {3360, 16}, Mode::kBoth},
-      {"matvec", {16, 3360}, Mode::kBoth},
-      {"matvec", {1024, 64}, Mode::kBoth},
+      {"matvec", {3360, 16}, Mode::kAccOnly},
+      {"matvec", {16, 3360}, Mode::kAccOnly},
+      {"matvec", {1024, 64}, Mode::kAccOnly},
       {"matvec", {129, 23}, Mode::kAccOnly},
-      {"matvec_t", {3360, 16}, Mode::kBoth},
-      {"matvec_t", {1024, 64}, Mode::kBoth},
+      {"matvec_t", {3360, 16}, Mode::kAccOnly},
+      {"matvec_t", {1024, 64}, Mode::kAccOnly},
       {"matvec_t", {129, 23}, Mode::kAccOnly},
       {"qr", {24, 16}, Mode::kBoth},
       {"qr", {3360, 16}, Mode::kBoth},
@@ -123,6 +124,25 @@ const std::vector<Case>& sweep() {
       {"downdate", {5}, Mode::kAccOnly},
   };
   return kSweep;
+}
+
+/// Kernels with per-ISA code: the expansion GEMMs, the only callers of
+/// active_isa() (DESIGN.md §13). acc and perf sweep every runnable tier
+/// for these; every other kernel is one compiled loop, so it gets a scalar
+/// row plus one library row. check gates these alone: their speedups
+/// dwarf timer noise, while the small O(n^2) kernels swing tens of
+/// percent run-to-run on a busy host and would make the gate flaky.
+bool dispatched(const std::string& kernel) {
+  return kernel == "matmul" || kernel == "matmul_bias" ||
+         kernel == "matmul_acc" || kernel == "gemm_f32";
+}
+
+/// The tiers acc and perf run `kernel` under: `tiers` for a dispatched
+/// kernel, the portable tier alone for the rest.
+std::vector<Isa> tiers_for(const std::string& kernel,
+                           const std::vector<Isa>& tiers) {
+  if (dispatched(kernel)) return tiers;
+  return {Isa::kPortable};
 }
 
 std::string shape_name(const std::vector<std::size_t>& dims) {
@@ -472,8 +492,8 @@ struct PerfRecord {
 };
 
 /// One timing round of a kernel/shape: allocates fresh inputs, times the
-/// scalar reference and every runnable tier, and appends one record per
-/// timing (scalar first, then tiers in runnable_isas() order).
+/// scalar reference and the library under tiers_for(), and appends one
+/// record per timing (scalar first, then tiers in runnable_isas() order).
 void run_perf_round(const std::string& kernel,
                     const std::vector<std::size_t>& dims,
                     std::vector<PerfRecord>& out) {
@@ -586,7 +606,7 @@ void run_perf_round(const std::string& kernel,
 
   out.push_back(PerfRecord{kernel, shape, "scalar",
                            measure_gflops(flops, ref_fn), 1.0});
-  for (const Isa isa : numerics::runnable_isas()) {
+  for (const Isa isa : tiers_for(kernel, numerics::runnable_isas())) {
     numerics::set_isa_override(isa);
     const auto [gflops, speedup] = measure_speedup(flops, ref_fn, lib_fn);
     numerics::clear_isa_override();
@@ -717,17 +737,9 @@ int run_check(const char* path) {
                 committed_isa.c_str(), numerics::isa_name());
     return 0;
   }
-  // Gate the GEMM family plus the fp32 serving-tail GEMM: the kernels this
-  // harness exists for, whose speedups dwarf timer noise. The small O(n^2)
-  // kernels (matvec at 1.3x, downdate at 1.4x) swing tens of percent
-  // run-to-run on a busy host and would make the gate flaky.
-  auto gated = [](const std::string& kernel) {
-    return kernel == "matmul" || kernel == "matmul_bias" ||
-           kernel == "matmul_acc" || kernel == "gemm_f32";
-  };
   std::vector<PerfRecord> fresh;
   for (const Case& c : sweep()) {
-    if (c.mode != Mode::kBoth || !gated(c.kernel)) continue;
+    if (c.mode != Mode::kBoth || !dispatched(c.kernel)) continue;
     run_perf_case(c.kernel, c.dims, fresh);
   }
   // What the gate compares, and why two different noise bands:
@@ -759,7 +771,7 @@ int run_check(const char* path) {
   };
   int failures = 0;
   for (const PerfRecord& old : committed) {
-    if (old.tier == "scalar" || !gated(old.kernel)) continue;
+    if (old.tier == "scalar" || !dispatched(old.kernel)) continue;
     const double band = old.tier == "portable" ? kPortableBand : kTierBand;
     const double committed_metric = metric(committed, old);
     if (committed_metric <= 0.0) continue;
@@ -882,13 +894,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
     bool all_pass = true;
     for (const Case& c : cases) {
-      for (const Isa isa : tiers) {
+      for (const Isa isa : tiers_for(c.kernel, tiers)) {
         numerics::set_isa_override(isa);
         all_pass &= run_acc_case(c.kernel, c.dims, false);
-        const std::string kernel = c.kernel;
-        if (kernel == "matmul" || kernel == "matmul_bias" ||
-            kernel == "matmul_acc" || kernel == "gram" ||
-            kernel == "gemm_f32") {
+        if (dispatched(c.kernel) || std::string(c.kernel) == "gram") {
           all_pass &= run_acc_case(c.kernel, c.dims, true);
         }
         numerics::clear_isa_override();

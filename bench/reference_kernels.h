@@ -5,11 +5,11 @@
 //
 // Any translation unit that compares bit patterns or ULP distances
 // against these references must be compiled with -ffp-contract=off: the
-// references define the exact results the golden-path SIMD kernels
-// (gram / matvec / Givens sweep) and the compiled QR reproduce, and the ULP
-// baseline the contracted GEMM family is measured against. Timing-only
-// users (throughput_streaming, micro_kernels) may compile however they
-// like.
+// references define the exact results the golden-path kernels (gram,
+// matvec, the compiled QR and the Givens sweep — one loop on every ISA
+// tier) reproduce, and the ULP baseline the dispatched GEMM family is
+// measured against. Timing-only users (throughput_streaming,
+// micro_kernels) may compile however they like.
 #ifndef EIGENMAPS_BENCH_REFERENCE_KERNELS_H
 #define EIGENMAPS_BENCH_REFERENCE_KERNELS_H
 

@@ -4,8 +4,9 @@
 // This translation unit is compiled contraction-free (-ffp-contract=off on
 // the library target): gram feeds the SVD rank checks and therefore the
 // golden regression files, so its results must be bit-identical across
-// machines and ISA levels. The contracted fast path lives in
-// blas_gemm.cpp.
+// machines and ISA levels. Each kernel is one compiled loop on every tier
+// (no runtime ISA dispatch, DESIGN.md §13); the contracted, dispatched
+// fast path lives in blas_gemm.cpp.
 #include "numerics/blas.h"
 
 #include <atomic>
@@ -16,15 +17,12 @@
 #include <vector>
 
 #include "numerics/blas_internal.h"
-#include "numerics/isa.h"
-#include "numerics/simd_kernels.h"
 #include "support/env.h"
 
 namespace eigenmaps::numerics {
 
 namespace {
 
-using detail::kGramTile;
 using detail::parallel_bounded;
 using detail::threads_for;
 
@@ -44,11 +42,11 @@ std::size_t default_blas_threads() {
 /// sample loop innermost per tile; contributions accumulate with r
 /// ascending for every g(i, j), matching the naive rank-1 update order.
 EIGENMAPS_KERNEL_CLONES
-void gram_rows_portable(ConstMatrixView a, MatrixView g, std::size_t i0,
-                        std::size_t i1) {
+void gram_rows(ConstMatrixView a, MatrixView g, std::size_t i0,
+               std::size_t i1) {
   const std::size_t rows = a.rows();
   const std::size_t n = a.cols();
-  constexpr std::size_t kTile = kGramTile;
+  constexpr std::size_t kTile = 64;
   for (std::size_t ii = i0; ii < i1; ii += kTile) {
     const std::size_t iend = std::min(ii + kTile, i1);
     for (std::size_t jj = ii; jj < n; jj += kTile) {
@@ -67,30 +65,10 @@ void gram_rows_portable(ConstMatrixView a, MatrixView g, std::size_t i0,
   }
 }
 
-/// Runtime tier selection for gram (DESIGN.md §13). Every tier computes
-/// each g(i, j) as a separate mul + add with the sample index ascending —
-/// no FMA — so the choice never moves a bit.
-void gram_rows(ConstMatrixView a, MatrixView g, std::size_t i0,
-               std::size_t i1) {
-  switch (active_isa()) {
-#if defined(EIGENMAPS_HAVE_X86_KERNELS)
-    case Isa::kAvx512:
-      detail::gram_rows_avx512(a, g, i0, i1);
-      return;
-    case Isa::kAvx2:
-      detail::gram_rows_avx2(a, g, i0, i1);
-      return;
-#endif
-    default:
-      gram_rows_portable(a, g, i0, i1);
-      return;
-  }
-}
-
 /// Rows [i0, i1) of y = A x, each y(i) a plain ascending-j sum.
 EIGENMAPS_KERNEL_CLONES
-void matvec_rows_portable(ConstMatrixView a, const double* x, double* y,
-                          std::size_t i0, std::size_t i1) {
+void matvec_rows(ConstMatrixView a, const double* x, double* y,
+                 std::size_t i0, std::size_t i1) {
   const std::size_t n = a.cols();
   for (std::size_t i = i0; i < i1; ++i) {
     const double* row = a.row_data(i);
@@ -102,53 +80,13 @@ void matvec_rows_portable(ConstMatrixView a, const double* x, double* y,
 
 /// Accumulates rows [i0, i1) of A into y = A^T x, i ascending per y(j).
 EIGENMAPS_KERNEL_CLONES
-void matvec_t_rows_portable(ConstMatrixView a, const double* x, double* y,
-                            std::size_t i0, std::size_t i1) {
+void matvec_t_rows(ConstMatrixView a, const double* x, double* y,
+                   std::size_t i0, std::size_t i1) {
   const std::size_t n = a.cols();
   for (std::size_t i = i0; i < i1; ++i) {
     const double xi = x[i];
     const double* row = a.row_data(i);
     for (std::size_t j = 0; j < n; ++j) y[j] += xi * row[j];
-  }
-}
-
-/// Runtime tier selection for matvec. The SIMD tiers vectorise across
-/// rows (one output element per lane) and keep each row's sum a plain
-/// ascending-j chain, so all tiers are bit-identical.
-void matvec_rows(ConstMatrixView a, const double* x, double* y,
-                 std::size_t i0, std::size_t i1) {
-  switch (active_isa()) {
-#if defined(EIGENMAPS_HAVE_X86_KERNELS)
-    case Isa::kAvx512:
-      detail::matvec_rows_avx512(a, x, y, i0, i1);
-      return;
-    case Isa::kAvx2:
-      detail::matvec_rows_avx2(a, x, y, i0, i1);
-      return;
-#endif
-    default:
-      matvec_rows_portable(a, x, y, i0, i1);
-      return;
-  }
-}
-
-/// Runtime tier selection for transposed matvec. The SIMD tiers vectorise
-/// along each row (lane j owns y(j)) with i ascending, bit-identical to
-/// the portable loop.
-void matvec_t_rows(ConstMatrixView a, const double* x, double* y,
-                   std::size_t i0, std::size_t i1) {
-  switch (active_isa()) {
-#if defined(EIGENMAPS_HAVE_X86_KERNELS)
-    case Isa::kAvx512:
-      detail::matvec_t_rows_avx512(a, x, y, i0, i1);
-      return;
-    case Isa::kAvx2:
-      detail::matvec_t_rows_avx2(a, x, y, i0, i1);
-      return;
-#endif
-    default:
-      matvec_t_rows_portable(a, x, y, i0, i1);
-      return;
   }
 }
 

@@ -30,9 +30,6 @@ namespace eigenmaps::numerics::detail {
 constexpr std::size_t kBlockK = 128;
 constexpr std::size_t kBlockJ = 256;
 
-// Tile edge of the gram upper-triangle walk (portable and SIMD paths).
-constexpr std::size_t kGramTile = 64;
-
 // Below this many multiply-adds a product runs on the calling thread; the
 // work would not amortise thread start-up.
 constexpr std::size_t kThreadFlopThreshold = 1u << 20;

@@ -8,11 +8,11 @@
 // "avx512") narrows the choice for testing, and forcing a tier the machine
 // cannot run throws instead of silently falling back (DESIGN.md §13).
 //
-// The selection never changes results on the golden paths: the explicit
-// gram / matvec / Givens-sweep kernels preserve the scalar per-element
-// accumulation order bit-for-bit, so every tier produces the same bytes
-// there. Only the GEMM family (already -ffp-contract=fast)
-// is allowed to differ within its documented ULP bound.
+// Only the two expansion GEMMs dispatch on the tier: the fp64 family
+// (already -ffp-contract=fast) differs across tiers within its documented
+// ULP bound, the fp32 backend within its error budget. Every golden-path
+// kernel (gram, matvec, QR, the downdate sweep) is one compiled loop, so
+// the selection never changes a golden byte.
 #ifndef EIGENMAPS_NUMERICS_ISA_H
 #define EIGENMAPS_NUMERICS_ISA_H
 

@@ -1,8 +1,9 @@
-// Explicit AVX2+FMA micro-kernels (256-bit). Compiled with -mavx2 -mfma
-// and -ffp-contract=off: every arithmetic operation below is an explicit
-// intrinsic, so the compiler can neither fuse the separate mul/add pairs
-// of the bit-exact kernels nor reassociate the FMA chains of the GEMM
-// tiles. See simd_kernels.h for the per-kernel accuracy contract.
+// Explicit AVX2+FMA expansion-GEMM micro-kernels (256-bit). Compiled with
+// -mavx2 -mfma and -ffp-contract=off: every vector operation below is an
+// explicit intrinsic and every scalar tail rounds as written, so the
+// compiler can neither fuse nor reassociate anything and each tier's
+// results are fixed by this source. See simd_kernels.h for the accuracy
+// contract.
 #include "numerics/simd_kernels.h"
 
 #if defined(EIGENMAPS_HAVE_X86_KERNELS)
@@ -178,183 +179,6 @@ void gemm_rows_avx2(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                    std::min<std::size_t>(4, jend - j));
         }
       }
-    }
-  }
-}
-
-// ---- gram ---------------------------------------------------------------
-
-void gram_rows_avx2(ConstMatrixView a, MatrixView g, std::size_t i0,
-                    std::size_t i1) {
-  const std::size_t rows = a.rows();
-  const std::size_t n = a.cols();
-  for (std::size_t ii = i0; ii < i1; ii += kGramTile) {
-    const std::size_t iend = std::min(ii + kGramTile, i1);
-    for (std::size_t jj = ii; jj < n; jj += kGramTile) {
-      const std::size_t jend = std::min(jj + kGramTile, n);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const double* row = a.row_data(r);
-        for (std::size_t i = ii; i < iend; ++i) {
-          const __m256d ri = _mm256_broadcast_sd(row + i);
-          double* grow = g.row_data(i);
-          std::size_t j = std::max(i, jj);
-          for (; j + 4 <= jend; j += 4) {
-            const __m256d prod = _mm256_mul_pd(ri, _mm256_loadu_pd(row + j));
-            _mm256_storeu_pd(grow + j,
-                             _mm256_add_pd(_mm256_loadu_pd(grow + j), prod));
-          }
-          if (j < jend) {
-            const std::size_t w = jend - j;
-            const __m256d prod = _mm256_mul_pd(ri, load_cols(row + j, w));
-            store_cols(grow + j, w,
-                       _mm256_add_pd(load_cols(grow + j, w), prod));
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---- matvec -------------------------------------------------------------
-
-namespace {
-
-/// Transposes 4 row vectors (loaded from rows i..i+3 at column j) into 4
-/// column vectors {a(i..i+3, j+c)}.
-inline void transpose_4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3,
-                          __m256d& c0, __m256d& c1, __m256d& c2,
-                          __m256d& c3) {
-  const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-  const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-  const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-  const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-  c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-  c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-  c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-  c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-}  // namespace
-
-void matvec_rows_avx2(ConstMatrixView a, const double* x, double* y,
-                      std::size_t i0, std::size_t i1) {
-  const std::size_t cols = a.cols();
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const double* a0 = a.row_data(i);
-    const double* a1 = a.row_data(i + 1);
-    const double* a2 = a.row_data(i + 2);
-    const double* a3 = a.row_data(i + 3);
-    // Lane l accumulates row i + l; within each 4-column group the
-    // products are added in ascending-j order, so every lane replays the
-    // scalar dot's exact sequence.
-    __m256d acc = _mm256_setzero_pd();
-    std::size_t j = 0;
-    for (; j + 4 <= cols; j += 4) {
-      __m256d c0, c1, c2, c3;
-      transpose_4x4(_mm256_loadu_pd(a0 + j), _mm256_loadu_pd(a1 + j),
-                    _mm256_loadu_pd(a2 + j), _mm256_loadu_pd(a3 + j), c0, c1,
-                    c2, c3);
-      acc = _mm256_add_pd(acc,
-                          _mm256_mul_pd(c0, _mm256_broadcast_sd(x + j)));
-      acc = _mm256_add_pd(acc,
-                          _mm256_mul_pd(c1, _mm256_broadcast_sd(x + j + 1)));
-      acc = _mm256_add_pd(acc,
-                          _mm256_mul_pd(c2, _mm256_broadcast_sd(x + j + 2)));
-      acc = _mm256_add_pd(acc,
-                          _mm256_mul_pd(c3, _mm256_broadcast_sd(x + j + 3)));
-    }
-    alignas(32) double sums[4];
-    _mm256_store_pd(sums, acc);
-    const double* rows[4] = {a0, a1, a2, a3};
-    for (std::size_t r = 0; r < 4; ++r) {
-      double s = sums[r];
-      for (std::size_t jt = j; jt < cols; ++jt) s += rows[r][jt] * x[jt];
-      y[i + r] = s;
-    }
-  }
-  for (; i < i1; ++i) {
-    const double* row = a.row_data(i);
-    double s = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) s += row[j] * x[j];
-    y[i] = s;
-  }
-}
-
-void matvec_t_rows_avx2(ConstMatrixView a, const double* x, double* y,
-                        std::size_t i0, std::size_t i1) {
-  const std::size_t cols = a.cols();
-  for (std::size_t i = i0; i < i1; ++i) {
-    const __m256d xi = _mm256_broadcast_sd(x + i);
-    const double* row = a.row_data(i);
-    std::size_t j = 0;
-    for (; j + 4 <= cols; j += 4) {
-      const __m256d prod = _mm256_mul_pd(xi, _mm256_loadu_pd(row + j));
-      _mm256_storeu_pd(y + j, _mm256_add_pd(_mm256_loadu_pd(y + j), prod));
-    }
-    if (j < cols) {
-      const std::size_t w = cols - j;
-      const __m256d prod = _mm256_mul_pd(xi, load_cols(row + j, w));
-      store_cols(y + j, w, _mm256_add_pd(load_cols(y + j, w), prod));
-    }
-  }
-}
-
-// ---- Givens downdate sweep ----------------------------------------------
-
-void givens_sweep_columns_avx2(MatrixView r, const double* c,
-                               const double* s) {
-  const std::size_t n = r.rows();
-  for (std::size_t j0 = 0; j0 < n; j0 += 4) {
-    const std::size_t width = std::min<std::size_t>(4, n - j0);
-    const __m256i lanes = _mm256_set_epi64x(
-        static_cast<long long>(j0) + 3, static_cast<long long>(j0) + 2,
-        static_cast<long long>(j0) + 1, static_cast<long long>(j0));
-    const __m256i mask_n =
-        width == 4 ? _mm256_set1_epi64x(-1)
-                   : _mm256_cmpgt_epi64(
-                         _mm256_set1_epi64x(static_cast<long long>(n)),
-                         lanes);
-    // Lane l carries column j0 + l; it stays inactive (xx = 0, row
-    // untouched) until i reaches its diagonal, exactly like the scalar
-    // sweep that starts each column at i = j.
-    __m256d xx = _mm256_setzero_pd();
-    std::size_t i = j0 + width;
-    // Rows above the block's bottom-right diagonal: triangular masks.
-    while (i-- > j0) {
-      const __m256i mask = _mm256_and_si256(
-          mask_n,
-          _mm256_cmpgt_epi64(lanes, _mm256_set1_epi64x(
-                                        static_cast<long long>(i) - 1)));
-      double* rowi = r.row_data(i) + j0;
-      const __m256d rv = _mm256_maskload_pd(rowi, mask);
-      const __m256d cv = _mm256_broadcast_sd(c + i);
-      const __m256d sv = _mm256_broadcast_sd(s + i);
-      const __m256d t =
-          _mm256_add_pd(_mm256_mul_pd(cv, xx), _mm256_mul_pd(sv, rv));
-      _mm256_maskstore_pd(
-          rowi, mask,
-          _mm256_sub_pd(_mm256_mul_pd(cv, rv), _mm256_mul_pd(sv, xx)));
-      xx = t;
-    }
-    // Rows at or above every lane's diagonal: full-width (within n).
-    i = j0;
-    while (i-- > 0) {
-      double* rowi = r.row_data(i) + j0;
-      const __m256d rv = width == 4 ? _mm256_loadu_pd(rowi)
-                                    : _mm256_maskload_pd(rowi, mask_n);
-      const __m256d cv = _mm256_broadcast_sd(c + i);
-      const __m256d sv = _mm256_broadcast_sd(s + i);
-      const __m256d t =
-          _mm256_add_pd(_mm256_mul_pd(cv, xx), _mm256_mul_pd(sv, rv));
-      const __m256d rnew =
-          _mm256_sub_pd(_mm256_mul_pd(cv, rv), _mm256_mul_pd(sv, xx));
-      if (width == 4) {
-        _mm256_storeu_pd(rowi, rnew);
-      } else {
-        _mm256_maskstore_pd(rowi, mask_n, rnew);
-      }
-      xx = t;
     }
   }
 }

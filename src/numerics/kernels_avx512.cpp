@@ -1,10 +1,10 @@
-// Explicit AVX-512 micro-kernels (512-bit, masked edges). Compiled with
-// -mavx512f -mavx512dq -mavx512vl -mfma and -ffp-contract=off: every
-// arithmetic operation is an explicit intrinsic, so mul/add pairs of the
-// bit-exact kernels never fuse and FMA chains never reassociate. Column
-// tails use __mmask8 lane masks instead of scalar peeling, so strided
-// views of any width run the same code path. See simd_kernels.h for the
-// per-kernel accuracy contract.
+// Explicit AVX-512 expansion-GEMM micro-kernels (512-bit, masked edges).
+// Compiled with -mavx512f -mavx512dq -mavx512vl -mfma and
+// -ffp-contract=off: every arithmetic operation is an explicit intrinsic,
+// so FMA chains never reassociate and each tier's results are fixed by
+// this source. Column tails use lane masks instead of scalar peeling, so
+// strided views of any width run the same code path. See simd_kernels.h
+// for the accuracy contract.
 #include "numerics/simd_kernels.h"
 
 #if defined(EIGENMAPS_HAVE_X86_KERNELS)
@@ -166,178 +166,6 @@ void gemm_rows_avx512(ConstMatrixView a, ConstMatrixView b, MatrixView c,
         row_1xn(a.row_data(i), c.row_data(i), b, bias, first_panel, kk,
                 kend, jj, jend);
       }
-    }
-  }
-}
-
-// ---- gram ---------------------------------------------------------------
-
-void gram_rows_avx512(ConstMatrixView a, MatrixView g, std::size_t i0,
-                      std::size_t i1) {
-  const std::size_t rows = a.rows();
-  const std::size_t n = a.cols();
-  for (std::size_t ii = i0; ii < i1; ii += kGramTile) {
-    const std::size_t iend = std::min(ii + kGramTile, i1);
-    for (std::size_t jj = ii; jj < n; jj += kGramTile) {
-      const std::size_t jend = std::min(jj + kGramTile, n);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const double* row = a.row_data(r);
-        for (std::size_t i = ii; i < iend; ++i) {
-          const __m512d ri = _mm512_set1_pd(row[i]);
-          double* grow = g.row_data(i);
-          std::size_t j = std::max(i, jj);
-          for (; j + 8 <= jend; j += 8) {
-            const __m512d prod = _mm512_mul_pd(ri, _mm512_loadu_pd(row + j));
-            _mm512_storeu_pd(
-                grow + j, _mm512_add_pd(_mm512_loadu_pd(grow + j), prod));
-          }
-          if (j < jend) {
-            const __mmask8 mask = lane_mask8(jend - j);
-            const __m512d prod =
-                _mm512_mul_pd(ri, _mm512_maskz_loadu_pd(mask, row + j));
-            _mm512_mask_storeu_pd(
-                grow + j, mask,
-                _mm512_add_pd(_mm512_maskz_loadu_pd(mask, grow + j), prod));
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---- matvec -------------------------------------------------------------
-
-namespace {
-
-/// Transposes 8 row vectors (rows i..i+7 at column j) into 8 column
-/// vectors {a(i..i+7, j + c)}: unpack pairs, then two rounds of 128-bit
-/// lane shuffles.
-inline void transpose_8x8(const __m512d r[8], __m512d col[8]) {
-  const __m512d t0 = _mm512_unpacklo_pd(r[0], r[1]);
-  const __m512d t1 = _mm512_unpackhi_pd(r[0], r[1]);
-  const __m512d t2 = _mm512_unpacklo_pd(r[2], r[3]);
-  const __m512d t3 = _mm512_unpackhi_pd(r[2], r[3]);
-  const __m512d t4 = _mm512_unpacklo_pd(r[4], r[5]);
-  const __m512d t5 = _mm512_unpackhi_pd(r[4], r[5]);
-  const __m512d t6 = _mm512_unpacklo_pd(r[6], r[7]);
-  const __m512d t7 = _mm512_unpackhi_pd(r[6], r[7]);
-  const __m512d x0 = _mm512_shuffle_f64x2(t0, t2, 0x88);
-  const __m512d x1 = _mm512_shuffle_f64x2(t1, t3, 0x88);
-  const __m512d x2 = _mm512_shuffle_f64x2(t0, t2, 0xDD);
-  const __m512d x3 = _mm512_shuffle_f64x2(t1, t3, 0xDD);
-  const __m512d y0 = _mm512_shuffle_f64x2(t4, t6, 0x88);
-  const __m512d y1 = _mm512_shuffle_f64x2(t5, t7, 0x88);
-  const __m512d y2 = _mm512_shuffle_f64x2(t4, t6, 0xDD);
-  const __m512d y3 = _mm512_shuffle_f64x2(t5, t7, 0xDD);
-  col[0] = _mm512_shuffle_f64x2(x0, y0, 0x88);
-  col[1] = _mm512_shuffle_f64x2(x1, y1, 0x88);
-  col[2] = _mm512_shuffle_f64x2(x2, y2, 0x88);
-  col[3] = _mm512_shuffle_f64x2(x3, y3, 0x88);
-  col[4] = _mm512_shuffle_f64x2(x0, y0, 0xDD);
-  col[5] = _mm512_shuffle_f64x2(x1, y1, 0xDD);
-  col[6] = _mm512_shuffle_f64x2(x2, y2, 0xDD);
-  col[7] = _mm512_shuffle_f64x2(x3, y3, 0xDD);
-}
-
-}  // namespace
-
-void matvec_rows_avx512(ConstMatrixView a, const double* x, double* y,
-                        std::size_t i0, std::size_t i1) {
-  const std::size_t cols = a.cols();
-  std::size_t i = i0;
-  for (; i + 8 <= i1; i += 8) {
-    const double* rows[8];
-    for (std::size_t r = 0; r < 8; ++r) rows[r] = a.row_data(i + r);
-    // Lane l accumulates row i + l; products are added in ascending-j
-    // order within each 8-column group, replaying the scalar dot exactly.
-    __m512d acc = _mm512_setzero_pd();
-    std::size_t j = 0;
-    for (; j + 8 <= cols; j += 8) {
-      __m512d rv[8], col[8];
-      for (std::size_t r = 0; r < 8; ++r) {
-        rv[r] = _mm512_loadu_pd(rows[r] + j);
-      }
-      transpose_8x8(rv, col);
-      for (std::size_t cjs = 0; cjs < 8; ++cjs) {
-        acc = _mm512_add_pd(
-            acc, _mm512_mul_pd(col[cjs], _mm512_set1_pd(x[j + cjs])));
-      }
-    }
-    alignas(64) double sums[8];
-    _mm512_store_pd(sums, acc);
-    for (std::size_t r = 0; r < 8; ++r) {
-      double s = sums[r];
-      for (std::size_t jt = j; jt < cols; ++jt) s += rows[r][jt] * x[jt];
-      y[i + r] = s;
-    }
-  }
-  for (; i < i1; ++i) {
-    const double* row = a.row_data(i);
-    double s = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) s += row[j] * x[j];
-    y[i] = s;
-  }
-}
-
-void matvec_t_rows_avx512(ConstMatrixView a, const double* x, double* y,
-                          std::size_t i0, std::size_t i1) {
-  const std::size_t cols = a.cols();
-  for (std::size_t i = i0; i < i1; ++i) {
-    const __m512d xi = _mm512_set1_pd(x[i]);
-    const double* row = a.row_data(i);
-    std::size_t j = 0;
-    for (; j + 8 <= cols; j += 8) {
-      const __m512d prod = _mm512_mul_pd(xi, _mm512_loadu_pd(row + j));
-      _mm512_storeu_pd(y + j, _mm512_add_pd(_mm512_loadu_pd(y + j), prod));
-    }
-    if (j < cols) {
-      const __mmask8 mask = lane_mask8(cols - j);
-      const __m512d prod =
-          _mm512_mul_pd(xi, _mm512_maskz_loadu_pd(mask, row + j));
-      _mm512_mask_storeu_pd(
-          y + j, mask,
-          _mm512_add_pd(_mm512_maskz_loadu_pd(mask, y + j), prod));
-    }
-  }
-}
-
-// ---- Givens downdate sweep ----------------------------------------------
-
-namespace {
-
-/// Lanes of block [j0, j0 + width) active at row i: column j0 + l is
-/// rotated only once i reaches its diagonal (i <= j0 + l).
-inline __mmask8 givens_mask(std::size_t j0, std::size_t width,
-                            std::size_t i) {
-  const unsigned full = (1u << width) - 1u;
-  if (i <= j0) return static_cast<__mmask8>(full);
-  return static_cast<__mmask8>(full & ~((1u << (i - j0)) - 1u));
-}
-
-}  // namespace
-
-void givens_sweep_columns_avx512(MatrixView r, const double* c,
-                                 const double* s) {
-  const std::size_t n = r.rows();
-  for (std::size_t j0 = 0; j0 < n; j0 += 8) {
-    const std::size_t width = std::min<std::size_t>(8, n - j0);
-    // Inactive lanes keep xx = 0 (maskz loads feed zeros) and their rows
-    // untouched, exactly like the scalar sweep that starts each column's
-    // rotations at its diagonal.
-    __m512d xx = _mm512_setzero_pd();
-    std::size_t i = j0 + width;
-    while (i-- > 0) {
-      const __mmask8 mask = givens_mask(j0, width, i);
-      double* rowi = r.row_data(i) + j0;
-      const __m512d rv = _mm512_maskz_loadu_pd(mask, rowi);
-      const __m512d cv = _mm512_set1_pd(c[i]);
-      const __m512d sv = _mm512_set1_pd(s[i]);
-      const __m512d t =
-          _mm512_add_pd(_mm512_mul_pd(cv, xx), _mm512_mul_pd(sv, rv));
-      _mm512_mask_storeu_pd(
-          rowi, mask,
-          _mm512_sub_pd(_mm512_mul_pd(cv, rv), _mm512_mul_pd(sv, xx)));
-      xx = t;
     }
   }
 }

@@ -1,7 +1,10 @@
 // Entry points of the explicit SIMD micro-kernel translation units
-// (kernels_avx2.cpp, kernels_avx512.cpp). Internal to numerics: the public
-// kernels in blas.cpp / blas_gemm.cpp / qr.cpp dispatch here on
-// active_isa(), and callers never see these symbols.
+// (kernels_avx2.cpp, kernels_avx512.cpp): the two expansion GEMMs, the
+// only kernels with per-ISA implementations. Internal to numerics: the
+// public GEMMs in blas_gemm.cpp / gemm_f32.cpp dispatch here on
+// active_isa(), and callers never see these symbols. Every other kernel
+// (gram, matvec, QR, the downdate sweep) is one compiled loop on every
+// tier, so no golden-path result depends on the CPU (DESIGN.md §13).
 //
 // The definitions only exist when CMake compiles the x86 kernel TUs
 // (EIGENMAPS_HAVE_X86_KERNELS); every call site is guarded by the same
@@ -12,10 +15,6 @@
 //    scalar reference (the TU-level -ffp-contract=fast family). Per
 //    output element the accumulation is still k-ascending and
 //    left-associated, so results are deterministic per tier.
-//  - gram_rows_*, matvec_rows_*, matvec_t_rows_*, givens_sweep_columns_*:
-//    bit-for-bit identical to the portable scalar loops on every input —
-//    lanes map to independent output elements and each lane replays the
-//    exact scalar operation sequence (separate mul/add, never FMA).
 //  - gemm_f32_rows_*: fp32-FMA-tiled; no cross-tier bitwise contract —
 //    the fp32 backend is gated by its measured error budget instead
 //    (DESIGN.md §14). Deterministic per tier.
@@ -52,36 +51,6 @@ void gemm_f32_rows_avx2(ConstMatrixView a, const ConstF32MatrixView& b,
 void gemm_f32_rows_avx512(ConstMatrixView a, const ConstF32MatrixView& b,
                           const float* bias, MatrixView c, std::size_t i0,
                           std::size_t i1);
-
-// ---- gram (upper-triangle tiles of G = A^T A, rows [i0, i1)) -----------
-void gram_rows_avx2(ConstMatrixView a, MatrixView g, std::size_t i0,
-                    std::size_t i1);
-void gram_rows_avx512(ConstMatrixView a, MatrixView g, std::size_t i0,
-                      std::size_t i1);
-
-// ---- matvec (y[i] = <a_row_i, x>, rows [i0, i1)) -----------------------
-// Lanes are rows (4 at a time via in-register 4x4 transposes), so each
-// row's sum still accumulates j-ascending exactly like the scalar loop.
-void matvec_rows_avx2(ConstMatrixView a, const double* x, double* y,
-                      std::size_t i0, std::size_t i1);
-void matvec_rows_avx512(ConstMatrixView a, const double* x, double* y,
-                        std::size_t i0, std::size_t i1);
-
-// ---- matvec_transpose (y += x[i] * a_row_i over rows [i0, i1)) ---------
-void matvec_t_rows_avx2(ConstMatrixView a, const double* x, double* y,
-                        std::size_t i0, std::size_t i1);
-void matvec_t_rows_avx512(ConstMatrixView a, const double* x, double* y,
-                          std::size_t i0, std::size_t i1);
-
-// ---- Givens sweep of the row-downdate (columns [0, n) of R) ------------
-// Applies the precomputed rotations (c[i], s[i]) bottom-up to every
-// column, 4/8 columns per pass with lane masks carving the upper
-// triangle; per column the rotation order and arithmetic match the
-// scalar sweep exactly.
-void givens_sweep_columns_avx2(MatrixView r, const double* c,
-                               const double* s);
-void givens_sweep_columns_avx512(MatrixView r, const double* c,
-                                 const double* s);
 
 }  // namespace eigenmaps::numerics::detail
 

@@ -6,9 +6,11 @@
 //
 // All kernels accumulate in a thread-count-independent order (see
 // numerics/blas.h), so these comparisons are exact, not toleranced.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +20,9 @@
 #include "core/allocation.h"
 #include "core/dct_basis.h"
 #include "core/metrics.h"
+#include "core/order_selection.h"
 #include "core/pca_basis.h"
+#include "core/pipeline.h"
 #include "core/reconstructor.h"
 #include "core/snapshot_set.h"
 #include "numerics/rng.h"
@@ -134,6 +138,64 @@ TEST(Golden, ReconstructionErrorFixedSeed) {
       core::evaluate_reconstruction(rec, maps);
   check_golden("reconstruction_error.txt",
                {format_value(errors.mse), format_value(errors.max_sq)});
+}
+
+/// Fig. 3(b) at reduced size, the paper's accuracy claim as a regression
+/// gate: on the Pipeline tests' 14 x 12 experiment, for M = 4, 6, ..., 16,
+/// each basis gets greedy Algorithm-1 placement and a validated order K.
+/// The EigenMaps rows (M, K, MSE, MAX, cond) are pinned byte for byte; the
+/// science is asserted too, so regenerating the file cannot accept a worse
+/// curve.
+TEST(Golden, PaperAccuracyCurve) {
+  core::ExperimentConfig config;
+  config.grid_width = 14;
+  config.grid_height = 12;
+  config.scenario_count = 3;
+  config.steps_per_scenario = 30;
+  config.training_stride = 2;
+  config.pca_max_order = 16;
+  config.dct_max_order = 16;
+  const core::Experiment e = core::simulate_experiment(config);
+  const numerics::Matrix& maps = e.snapshots().data();
+
+  struct Point {
+    std::size_t k;
+    core::ReconstructionErrors errors;
+    double cond;
+  };
+  const auto evaluate = [&](const core::Basis& basis, std::size_t m) {
+    const std::size_t k_max = std::min(m, basis.max_order());
+    const core::SensorLocations sensors =
+        core::allocate_greedy(basis, k_max, m);
+    const core::OrderSelection selection =
+        core::select_order(basis, sensors, e.mean_map(), maps, k_max);
+    const core::Reconstructor rec(basis, selection.k, sensors, e.mean_map());
+    return Point{selection.k, core::evaluate_reconstruction(rec, maps),
+                 rec.condition_number()};
+  };
+
+  std::vector<std::string> lines;
+  double previous_mse = std::numeric_limits<double>::infinity();
+  for (std::size_t m = 4; m <= 16; m += 2) {
+    SCOPED_TRACE("M = " + std::to_string(m));
+    const Point eig = evaluate(e.eigenmaps_basis(), m);
+    const Point dct = evaluate(e.dct_basis(), m);
+    lines.push_back(std::to_string(m) + " " + std::to_string(eig.k) + " " +
+                    format_value(eig.errors.mse) + " " +
+                    format_value(eig.errors.max_sq) + " " +
+                    format_value(eig.cond));
+    EXPECT_LT(eig.errors.mse, dct.errors.mse);
+    EXPECT_LE(eig.errors.mse, previous_mse);
+    previous_mse = eig.errors.mse;
+    EXPECT_LT(eig.cond, 10.0);
+    EXPECT_LT(dct.cond, 10.0);
+    if (m == 4) {
+      // The paper's headline: below 1 (deg C)^2 with four sensors.
+      EXPECT_LT(eig.errors.mse, 1.0);
+      EXPECT_LT(eig.errors.max_sq, 1.0);
+    }
+  }
+  check_golden("paper_accuracy.txt", lines);
 }
 
 }  // namespace

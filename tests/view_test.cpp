@@ -164,12 +164,12 @@ TEST(Views, StridedQrSolveBatchBitIdenticalToContiguous) {
   }
 }
 
-/// Every compiled dispatch tier, on strided inputs, across the register
-/// tile edges of the SIMD kernels (DESIGN.md §13): column counts off the
-/// 8/16/32-lane boundaries, row counts off the 2/4/8-row tiles, and
-/// stride > cols throughout. The golden kernels (gram, matvec, both QR
-/// kernels) must match the portable tier bit for bit on every shape; the
-/// contracted GEMM family must stay within the contraction ULP bound.
+/// Every compiled dispatch tier of the fp64 GEMM, on strided inputs,
+/// across the register tile edges of its SIMD kernels (DESIGN.md §13):
+/// column counts off the 8/16/32-lane boundaries, row counts off the
+/// 2/8-row tiles, and stride > cols throughout. Each tier must stay within
+/// the contraction ULP bound of the contraction-free reference. Gram,
+/// matvec, QR and the downdate have no per-tier code to compare.
 TEST(Views, SimdTiersMatchPortableAcrossTileEdges) {
   struct GemmShape {
     std::size_t m, k, n;
@@ -222,62 +222,6 @@ TEST(Views, SimdTiersMatchPortableAcrossTileEdges) {
               << i << "," << j;
         }
       }
-    }
-
-    // Golden kernels: strided inputs, bit-compared against the portable
-    // tier on the same strided inputs.
-    struct TallShape {
-      std::size_t rows, cols;
-    };
-    const TallShape tall_shapes[] = {{9, 7}, {23, 9}, {29, 21}, {40, 13}};
-    for (const TallShape& s : tall_shapes) {
-      SCOPED_TRACE(std::to_string(s.rows) + "x" + std::to_string(s.cols));
-      const numerics::Matrix a = random_matrix(s.rows, s.cols, 41);
-      const StridedCopy sa(a);
-      numerics::Rng rng(42);
-      const numerics::Vector x = rng.normal_vector(s.cols);
-      const numerics::Vector xt = rng.normal_vector(s.rows);
-
-      numerics::set_isa_override(numerics::Isa::kPortable);
-      numerics::Matrix g_port(s.cols, s.cols);
-      numerics::gram_into(sa.view, g_port.view());
-      numerics::Vector y_port(s.rows), yt_port(s.cols);
-      numerics::matvec_into(sa.view, x, y_port);
-      numerics::matvec_transpose_into(sa.view, xt, yt_port);
-      const numerics::HouseholderQr qr_port(a);
-      numerics::Matrix r_port = qr_port.r();
-      const numerics::Matrix q_port = qr_port.thin_q();
-      numerics::Vector scratch(3 * s.cols);
-      const bool down_port =
-          numerics::downdate_r_row(r_port.view(), a.row_data(0), scratch);
-
-      numerics::set_isa_override(isa);
-      numerics::Matrix g(s.cols, s.cols);
-      numerics::gram_into(sa.view, g.view());
-      numerics::Vector y(s.rows), yt(s.cols);
-      numerics::matvec_into(sa.view, x, y);
-      numerics::matvec_transpose_into(sa.view, xt, yt);
-      const numerics::HouseholderQr qr(a);
-      numerics::Matrix r = qr.r();
-      const numerics::Matrix q = qr.thin_q();
-      const bool down = numerics::downdate_r_row(r.view(), a.row_data(0),
-                                                 scratch);
-      numerics::clear_isa_override();
-
-      for (std::size_t i = 0; i < s.cols; ++i) {
-        for (std::size_t j = 0; j < s.cols; ++j) {
-          EXPECT_EQ(g(i, j), g_port(i, j)) << "gram " << i << "," << j;
-          EXPECT_EQ(r(i, j), r_port(i, j)) << "r " << i << "," << j;
-        }
-        EXPECT_EQ(yt[i], yt_port[i]) << "matvec_t " << i;
-      }
-      for (std::size_t i = 0; i < s.rows; ++i) {
-        EXPECT_EQ(y[i], y_port[i]) << "matvec " << i;
-        for (std::size_t j = 0; j < s.cols; ++j) {
-          EXPECT_EQ(q(i, j), q_port(i, j)) << "thin_q " << i << "," << j;
-        }
-      }
-      EXPECT_EQ(down, down_port);
     }
   }
 }

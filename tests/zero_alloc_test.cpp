@@ -51,6 +51,40 @@ struct Fixture {
   }
 };
 
+/// Warm-up hold for the engine batch cycles below: on the first batch of
+/// `stream`, the (single) worker waits inside on_batch — holding both the
+/// batch's input and its output buffer — until the producer has begun its
+/// `release_at`-th push_frame (the test bumps `pushes` before each call).
+/// Pick `release_at` as the push that cuts the first batch the full queue
+/// cannot take: at that moment every buffer the engine can hold at once is
+/// live together (held input + output, a full queue, a pending batch on
+/// every stream), so warm-up provably mints the pool's peak population.
+/// Without the hold a scheduler hiccup in the measured cycle can reach a
+/// peak warm-up never saw and mint one buffer mid-measurement.
+class PeakHold final : public runtime::BatchObserver {
+ public:
+  PeakHold(std::uint64_t stream, std::uint64_t release_at)
+      : stream_(stream), release_at_(release_at) {}
+
+  void on_batch(std::uint64_t, std::uint64_t, std::uint64_t stream,
+                const core::ReconstructionModel&, const core::SensorBitmask&,
+                numerics::ConstMatrixView, numerics::ConstMatrixView) override {
+    if (stream != stream_ || held_) return;
+    held_ = true;
+    while (pushes.load() < release_at_) std::this_thread::yield();
+  }
+  runtime::AdaptationCounters counters(std::uint64_t) const override {
+    return {};
+  }
+
+  std::atomic<std::uint64_t> pushes{0};
+
+ private:
+  const std::uint64_t stream_;
+  const std::uint64_t release_at_;
+  bool held_ = false;  // touched by the one worker thread only
+};
+
 TEST(ZeroAlloc, ThousandSingleFrameReconstructIntoCalls) {
   const Fixture fx;
   const std::shared_ptr<const core::ReconstructionModel> model =
@@ -162,6 +196,12 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   options.batch_size = 8;
   options.queue_capacity = 2;  // bounds in-flight buffers, so warm-up
                                // reaches the pool's steady population fast
+  // Pushes alternate streams 1, 2 frame by frame. With stream 2's first
+  // batch held and the two after it queued, the push that cuts stream 1's
+  // third batch (2 streams x 3 batches - 1) is the one that blocks, while
+  // stream 2's third batch is pending too: 5 inputs + 1 output live.
+  PeakHold hold(2, 2 * 3 * options.batch_size - 1);
+  options.observer = &hold;
   runtime::ReconstructionEngine engine(
       fx.rec, options,
       [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
@@ -174,7 +214,9 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
       for (std::size_t f = 0; f < options.batch_size; ++f) {
         const numerics::ConstVectorView frame =
             frames.row_view((b * options.batch_size + f) % frames.rows());
+        ++hold.pushes;
         engine.push_frame(1, frame);
+        ++hold.pushes;
         engine.push_frame(2, frame, runtime::ReconstructionEngine::
                                         kDefaultModel, mask);
       }
@@ -186,10 +228,9 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
     }
   };
 
-  // Warm-up: mint pool buffers, grow the worker workspace, build the
-  // mask's factor, size the delivery queues. Two saturation cycles, so the
-  // pool has seen the peak number of concurrently-live buffers (producer
-  // blocked on the full queue) before anything is measured.
+  // Warm-up: mint pool buffers (the first cycle passes through the held
+  // peak), grow the worker workspace, build the mask's factor, size the
+  // delivery queues.
   push_cycle(6);
   wait_for(2 * 6 * options.batch_size);
   push_cycle(6);
@@ -225,27 +266,18 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
   const numerics::Matrix frames = fx.frames(64, 15);
 
   std::atomic<std::uint64_t> delivered{0};
-  // The worker stalls in deliver while this is set: warm-up uses it to
-  // *force* the producer to block on the full queue, so the buffer pool
-  // provably reaches its peak live population (pending batch + full queue
-  // + in-flight job + output) before anything is measured. Without the
-  // stall a fast worker can keep the queue empty through every warm cycle
-  // and a scheduler hiccup during the measured cycle would hit a fresh
-  // concurrency peak — and mint a pool buffer mid-measurement.
-  std::atomic<bool> stall_delivery{true};
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = 8;
   options.queue_capacity = 2;
+  // With the first batch held and the next two queued, the push that cuts
+  // the fourth batch is the one that blocks: 4 inputs + 1 output live.
+  PeakHold hold(1, 4 * options.batch_size);
+  options.observer = &hold;
   {
     runtime::ReconstructionEngine engine(
         fx.rec, options,
         [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
-          if (stall_delivery.load(std::memory_order_relaxed)) {
-            const std::uint64_t until = obs::monotonic_ns() + 200'000;
-            while (obs::monotonic_ns() < until) {
-            }
-          }
           delivered.fetch_add(maps.rows(), std::memory_order_relaxed);
         });
 
@@ -253,6 +285,7 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
     const auto push_cycle = [&](std::size_t batches) {
       for (std::size_t b = 0; b < batches; ++b) {
         for (std::size_t f = 0; f < options.batch_size; ++f) {
+          ++hold.pushes;
           engine.push_frame(1, frames.row_view(
                                    (b * options.batch_size + f) %
                                    frames.rows()));
@@ -267,7 +300,6 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
 
     push_cycle(6);
     wait_for(6 * options.batch_size);
-    stall_delivery.store(false, std::memory_order_relaxed);
     push_cycle(6);
     wait_for(12 * options.batch_size);
 
