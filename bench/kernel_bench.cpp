@@ -15,14 +15,15 @@
 // in reference_kernels.h: ULP-bounded for the -ffp-contract=fast GEMM
 // family (matmul, matmul_bias, matmul_acc; float-epsilon-bounded for
 // gemm_f32) on every tier, bit-for-bit for the golden-path kernels (gram,
-// matvec, matvec_t, qr, downdate), which have no tiers (see dispatched()).
+// matvec, matvec_t, qr, downdate, eigen), which have no tiers (see
+// dispatched()).
 // GEMM, gram and gemm_f32 acc also run on strided views (row stride >
 // cols) to exercise the masked edge columns. This translation unit must
 // stay -ffp-contract=off so the references define exact bit patterns.
 //
 // Kernels and shapes:
 //   matmul m k n | matmul_bias m k n | matmul_acc m k n | gemm_f32 m k n
-//   gram m n | matvec m n | matvec_t m n | qr m n | downdate n
+//   gram m n | matvec m n | matvec_t m n | qr m n | downdate n | eigen n
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -41,6 +42,7 @@
 #include "numerics/isa.h"
 #include "numerics/qr.h"
 #include "numerics/rng.h"
+#include "numerics/symmetric_eigen.h"
 #include "reference_kernels.h"
 
 namespace {
@@ -82,7 +84,10 @@ struct Case {
 /// dropout path hits), larger QRs and square GEMMs for context, and
 /// acc-only edge shapes that stress the masked tails (cols % 8/16 != 0,
 /// rows % tile != 0). matvec and matvec_t are acc-only: nothing in the
-/// library calls them, so their speed serves no caller.
+/// library calls them, so their speed serves no caller. The design-time
+/// setup kernels close the list: the snapshot Gram (3360 x 663 at paper
+/// size), its 663 x 663 eigendecomposition and the 16 x 16 one every
+/// singular_values call runs (model build, greedy rank guard, refactor).
 const std::vector<Case>& sweep() {
   static const std::vector<Case> kSweep = {
       {"matmul_bias", {1, 16, 3360}, Mode::kBoth},
@@ -122,6 +127,14 @@ const std::vector<Case>& sweep() {
       {"downdate", {64}, Mode::kBoth},
       {"downdate", {37}, Mode::kAccOnly},
       {"downdate", {5}, Mode::kAccOnly},
+      {"gram", {3360, 663}, Mode::kBoth},
+      {"eigen", {16}, Mode::kBoth},
+      {"eigen", {663}, Mode::kBoth},
+      {"eigen", {1}, Mode::kAccOnly},
+      {"eigen", {2}, Mode::kAccOnly},
+      {"eigen", {3}, Mode::kAccOnly},
+      {"eigen", {24}, Mode::kAccOnly},
+      {"eigen", {97}, Mode::kAccOnly},
   };
   return kSweep;
 }
@@ -172,6 +185,11 @@ double flops_for(const std::string& kernel,
     const double m = static_cast<double>(d[0]);
     const double n = static_cast<double>(d[1]);
     return 2.0 * n * n * (m - n / 3.0);
+  }
+  if (kernel == "eigen") {
+    // The usual ~9 n^3 for tridiagonalisation plus QL with eigenvectors.
+    const double n = static_cast<double>(d[0]);
+    return 9.0 * n * n * n;
   }
   // downdate: sweep ~3 n^2 plus the forward substitution ~n^2.
   const double n = static_cast<double>(d[0]);
@@ -404,6 +422,30 @@ bool run_acc_case(const std::string& kernel,
                                                  scratch);
     pass = ref_ok && lib_ok && check_bitwise(r.view(), ref_r.view());
     detail = "bitwise";
+  } else if (kernel == "eigen") {
+    // A symmetric input; a block-diagonal one, whose uncoupled leading
+    // block sends tridiagonalisation through its scale == 0 branch; and a
+    // non-symmetric one, of which only the lower triangle is read.
+    const std::size_t n = dims[0];
+    const Matrix general = random_matrix(n, n, 111);
+    Matrix symmetric(n, n), block(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        symmetric(i, j) = i >= j ? general(i, j) : general(j, i);
+        block(i, j) = (i < n / 2) == (j < n / 2) ? symmetric(i, j) : 0.0;
+      }
+    }
+    const Matrix* inputs[] = {&symmetric, &block, &general};
+    for (const Matrix* input : inputs) {
+      const numerics::SymmetricEigen ref = bench::ref_symmetric_eigen(*input);
+      const numerics::SymmetricEigen lib = numerics::symmetric_eigen(*input);
+      for (std::size_t j = 0; j < n; ++j) {
+        pass = pass && bits_equal(lib.eigenvalues[j], ref.eigenvalues[j]);
+      }
+      pass = pass && check_bitwise(lib.eigenvectors.view(),
+                                   ref.eigenvectors.view());
+    }
+    detail = "bitwise (symmetric, block-diagonal, non-symmetric)";
   } else {
     std::fprintf(stderr, "unknown kernel: %s\n", kernel.c_str());
     return false;
@@ -599,6 +641,11 @@ void run_perf_round(const std::string& kernel,
       for (std::size_t i = 0; i < n; ++i) c.set_row(i, r0.row_view(i));
       numerics::downdate_r_row(c.view(), a.row_data(0), scratch);
     };
+  } else if (kernel == "eigen") {
+    const Matrix general = random_matrix(dims[0], dims[0], 111);
+    a = numerics::gram(general);  // symmetric PSD, like the snapshot Gram
+    ref_fn = [&] { bench::ref_symmetric_eigen(a); };
+    lib_fn = [&] { numerics::symmetric_eigen(a); };
   } else {
     std::fprintf(stderr, "unknown kernel: %s\n", kernel.c_str());
     return;
@@ -834,7 +881,7 @@ int usage() {
                "  kernels: matmul m k n | matmul_bias m k n | "
                "matmul_acc m k n |\n"
                "           gemm_f32 m k n | gram m n | matvec m n |\n"
-               "           matvec_t m n | qr m n | downdate n\n");
+               "           matvec_t m n | qr m n | downdate n | eigen n\n");
   return 2;
 }
 

@@ -186,13 +186,14 @@ void BM_ThermalTransientStep(benchmark::State& state) {
   const thermal::RcModel model(grid);
   numerics::Vector power(plan.block_count(), 2.0);
   numerics::Vector state_vec = model.steady_state(power);
+  const thermal::RcModel::StepSystem system = model.step_system(0.01);
   numerics::Rng rng(9);
   for (auto _ : state) {
     // Perturb power so each step does real work.
     for (std::size_t b = 0; b < power.size(); ++b) {
       power[b] = 2.0 + 0.5 * rng.uniform();
     }
-    benchmark::DoNotOptimize(model.step(state_vec, power, 0.01));
+    benchmark::DoNotOptimize(model.step(state_vec, power, system));
   }
 }
 BENCHMARK(BM_ThermalTransientStep)->Arg(20)->Arg(40)->Arg(60);

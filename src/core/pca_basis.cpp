@@ -19,6 +19,29 @@ numerics::Matrix centered_maps(const SnapshotSet& training) {
   return x;
 }
 
+// Its transpose X^T (N x T), built straight from the maps: the same
+// x - mean per element, and the only copy of the ensemble the snapshot-Gram
+// path holds. Square tiles keep both the reads and the writes in cache.
+numerics::Matrix centered_maps_transposed(const SnapshotSet& training) {
+  const numerics::Matrix& maps = training.data();
+  const numerics::Vector& mean = training.mean();
+  const std::size_t t = maps.rows();
+  const std::size_t n = maps.cols();
+  numerics::Matrix xt(n, t);
+  constexpr std::size_t kTile = 32;
+  for (std::size_t i0 = 0; i0 < t; i0 += kTile) {
+    const std::size_t i1 = std::min(i0 + kTile, t);
+    for (std::size_t c0 = 0; c0 < n; c0 += kTile) {
+      const std::size_t c1 = std::min(c0 + kTile, n);
+      for (std::size_t c = c0; c < c1; ++c) {
+        double* dst = xt.row_data(c);
+        for (std::size_t i = i0; i < i1; ++i) dst[i] = maps(i, c) - mean[c];
+      }
+    }
+  }
+  return xt;
+}
+
 struct Spectrum {
   numerics::Matrix vectors;     // N x retained
   numerics::Vector eigenvalues; // full known spectrum, descending
@@ -26,22 +49,15 @@ struct Spectrum {
 };
 
 // Exact PCA from the T x T Gram matrix G = X X^T: covariance eigenvalues are
-// mu / T and basis vectors are X^T u / sqrt(mu).
-Spectrum train_snapshot_gram(const numerics::Matrix& x,
+// mu / T and basis vectors are X^T u / sqrt(mu). Takes xt = X^T (N x T), so
+// G is gram_into(X^T): each g(i, j) sums x(i, c) x(j, c) from 0.0 with c
+// ascending, the plain row-dot order, on contiguous rows and threaded.
+Spectrum train_snapshot_gram(const numerics::Matrix& xt,
                              const PcaOptions& options) {
-  const std::size_t t = x.rows();
-  const std::size_t n = x.cols();
+  const std::size_t n = xt.rows();
+  const std::size_t t = xt.cols();
   numerics::Matrix g(t, t);
-  for (std::size_t i = 0; i < t; ++i) {
-    const double* ri = x.row_data(i);
-    for (std::size_t j = i; j < t; ++j) {
-      const double* rj = x.row_data(j);
-      double s = 0.0;
-      for (std::size_t c = 0; c < n; ++c) s += ri[c] * rj[c];
-      g(i, j) = s;
-      g(j, i) = s;
-    }
-  }
+  numerics::gram_into(xt.view(), g.view());
   const numerics::SymmetricEigen eig = numerics::symmetric_eigen(g);
 
   const double inv_t = 1.0 / static_cast<double>(t);
@@ -56,15 +72,26 @@ Spectrum train_snapshot_gram(const numerics::Matrix& x,
     ++usable;
   }
   const std::size_t order = std::min(options.max_order, usable);
-  out.vectors = numerics::Matrix(n, order);
+  // w(i, j) = u_j(i) / sqrt(mu_j), so v_j = X^T w_j.
+  numerics::Matrix w(t, order);
   for (std::size_t j = 0; j < order; ++j) {
     const double inv_sqrt_mu = 1.0 / std::sqrt(eig.eigenvalues[j]);
-    // v_j = X^T u_j / sqrt(mu_j)
     for (std::size_t i = 0; i < t; ++i) {
-      const double w = eig.eigenvectors(i, j) * inv_sqrt_mu;
-      if (w == 0.0) continue;
-      const double* row = x.row_data(i);
-      for (std::size_t c = 0; c < n; ++c) out.vectors(c, j) += w * row[c];
+      w(i, j) = eig.eigenvectors(i, j) * inv_sqrt_mu;
+    }
+  }
+  // v(c, j) accumulates w(i, j) x(i, c) with i ascending, skipping zero
+  // weights; the inner loop runs along the contiguous rows of V and W.
+  out.vectors = numerics::Matrix(n, order);
+  for (std::size_t c = 0; c < n; ++c) {
+    const double* xrow = xt.row_data(c);
+    double* vrow = out.vectors.row_data(c);
+    for (std::size_t i = 0; i < t; ++i) {
+      const double x = xrow[i];
+      const double* wrow = w.row_data(i);
+      for (std::size_t j = 0; j < order; ++j) {
+        if (wrow[j] != 0.0) vrow[j] += wrow[j] * x;
+      }
     }
   }
   return out;
@@ -207,17 +234,16 @@ PcaBasis::PcaBasis(const SnapshotSet& training, const PcaOptions& options) {
   if (training.count() == 0 || training.cell_count() == 0) {
     throw std::invalid_argument("PcaBasis: empty training set");
   }
-  const numerics::Matrix x = centered_maps(training);
   Spectrum s;
   switch (options.method) {
     case PcaMethod::kSnapshotGram:
-      s = train_snapshot_gram(x, options);
+      s = train_snapshot_gram(centered_maps_transposed(training), options);
       break;
     case PcaMethod::kDenseCovariance:
-      s = train_dense_covariance(x, options);
+      s = train_dense_covariance(centered_maps(training), options);
       break;
     case PcaMethod::kOrthogonalIteration:
-      s = train_orthogonal_iteration(x, options);
+      s = train_orthogonal_iteration(centered_maps(training), options);
       break;
   }
   vectors_ = std::move(s.vectors);

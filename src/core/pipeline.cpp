@@ -1,10 +1,16 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <thread>
+#include <vector>
 
+#include "numerics/blas.h"
 #include "numerics/rng.h"
 #include "support/env.h"
 #include "thermal/rc_model.h"
@@ -199,26 +205,64 @@ Experiment simulate_experiment(const ExperimentConfig& config) {
   const floorplan::ThermalGrid grid(plan, config.grid_width,
                                     config.grid_height);
   const thermal::RcModel model(grid);
+  const std::size_t steps = config.steps_per_scenario;
 
+  // Scenario s owns rows [s * steps, (s + 1) * steps) of both matrices, so
+  // the scenarios run concurrently without sharing any mutable state.
   numerics::Matrix maps(config.map_count(), grid.cell_count());
-  numerics::Vector energy(grid.cell_count(), 0.0);
-  std::size_t row = 0;
-  for (std::size_t s = 0; s < config.scenario_count; ++s) {
+  numerics::Matrix block_powers(config.map_count(), plan.block_count());
+  const auto run_scenario = [&](std::size_t s) {
     numerics::Rng rng(config.seed + 1000 * s);
     ScenarioPower workload(plan, s, &rng);
+    const thermal::RcModel::StepSystem system = model.step_system(config.dt);
     // Settle into the scenario before recording.
     for (int warm = 0; warm < 8; ++warm) workload.advance();
     numerics::Vector power = workload.block_power();
     numerics::Vector state = model.steady_state(power);
-    for (std::size_t t = 0; t < config.steps_per_scenario; ++t) {
+    for (std::size_t t = 0; t < steps; ++t) {
       workload.advance();
       power = workload.block_power();
-      state = model.step(state, power, config.dt);
-      maps.set_row(row, state);
-      const numerics::Vector p = model.cell_power(power);
-      for (std::size_t i = 0; i < energy.size(); ++i) energy[i] += p[i];
-      ++row;
+      state = model.step(state, power, system);
+      maps.set_row(s * steps + t, state);
+      block_powers.set_row(s * steps + t, power);
     }
+  };
+
+  // Threads claim scenarios in index order; the calling thread runs too.
+  // Errors are captured per thread and rethrown after the join, so an
+  // exception never escapes a thread (which would std::terminate).
+  const std::size_t threads = std::max<std::size_t>(
+      1, std::min(config.scenario_count, numerics::blas_threads()));
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(threads);
+  const auto worker = [&](std::size_t id) {
+    try {
+      for (std::size_t s = next++; s < config.scenario_count; s = next++) {
+        run_scenario(s);
+      }
+    } catch (...) {
+      errors[id] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  try {
+    for (std::size_t id = 1; id < threads; ++id) pool.emplace_back(worker, id);
+  } catch (const std::system_error&) {
+    // Out of threads: the ones running and the caller take the rest.
+  }
+  worker(0);
+  for (std::thread& th : pool) th.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+
+  // The energy sum runs in trace order, as a single-threaded trace would
+  // add it: per-scenario partial sums would round differently.
+  numerics::Vector energy(grid.cell_count(), 0.0);
+  for (std::size_t row = 0; row < config.map_count(); ++row) {
+    const numerics::Vector p = model.cell_power(block_powers.row(row));
+    for (std::size_t i = 0; i < energy.size(); ++i) energy[i] += p[i];
   }
   const double inv = 1.0 / static_cast<double>(config.map_count());
   for (double& e : energy) e *= inv;

@@ -77,8 +77,11 @@ class Experiment {
 };
 
 /// Runs the RC thermal simulation over the workload scenarios and returns
-/// the assembled experiment. Paper-sized configs take on the order of a
-/// minute; use core::build_cached_experiment to amortise across harnesses.
+/// the assembled experiment. The scenarios run concurrently on
+/// min(scenario_count, numerics::blas_threads()) threads, and the result is
+/// bit-identical for every thread count (DESIGN.md §2). A paper-sized
+/// config takes ~1.1 s on 4 cores, ~2 s on one, basis training included;
+/// core::build_cached_experiment amortises the simulation across harnesses.
 Experiment simulate_experiment(const ExperimentConfig& config);
 
 }  // namespace eigenmaps::core

@@ -1,5 +1,6 @@
-// On-disk snapshot cache so the ~minutes thermal simulation runs once and
-// every figure harness reloads it in milliseconds.
+// On-disk snapshot cache so the thermal simulation (at paper size ~0.6 s
+// on 4 cores, ~1.4 s on one) runs once and every figure harness reloads
+// it in milliseconds.
 //
 // Format (little-endian, host doubles): magic + version, the simulation-
 // relevant ExperimentConfig fields, the map matrix, the per-cell energy

@@ -9,12 +9,19 @@ namespace eigenmaps::numerics {
 
 namespace {
 
-// Householder reduction of v (n x n, symmetric) to tridiagonal form.
-// On exit v holds the accumulated orthogonal transform, d the diagonal and
-// e the sub-diagonal (e[0] unused).
+// Both routines below are JAMA's tred2/tql2 run on the transposed working
+// matrix: every v(a, b) of the textbook loops reads v(b, a) here. The
+// operations and their order are unchanged, so are the results, bit for
+// bit; but the Householder updates and the Givens rotations now sweep
+// contiguous rows instead of striding down columns.
+
+// Householder reduction of v = a^T (n x n; only its diagonal and upper
+// triangle, the lower triangle of a, are read) to tridiagonal form. On
+// exit row j of v holds column j of the accumulated orthogonal transform,
+// d the diagonal and e the sub-diagonal (e[0] unused).
 void tridiagonalize(Matrix& v, Vector& d, Vector& e) {
   const int n = static_cast<int>(v.rows());
-  for (int j = 0; j < n; ++j) d[j] = v(n - 1, j);
+  for (int j = 0; j < n; ++j) d[j] = v(j, n - 1);
 
   for (int i = n - 1; i > 0; --i) {
     double scale = 0.0;
@@ -23,9 +30,9 @@ void tridiagonalize(Matrix& v, Vector& d, Vector& e) {
     if (scale == 0.0) {
       e[i] = d[i - 1];
       for (int j = 0; j < i; ++j) {
-        d[j] = v(i - 1, j);
-        v(i, j) = 0.0;
+        d[j] = v(j, i - 1);
         v(j, i) = 0.0;
+        v(i, j) = 0.0;
       }
     } else {
       for (int k = 0; k < i; ++k) {
@@ -42,11 +49,12 @@ void tridiagonalize(Matrix& v, Vector& d, Vector& e) {
 
       for (int j = 0; j < i; ++j) {
         f = d[j];
-        v(j, i) = f;
-        g = e[j] + v(j, j) * f;
+        v(i, j) = f;
+        const double* vj = v.row_data(j);
+        g = e[j] + vj[j] * f;
         for (int k = j + 1; k <= i - 1; ++k) {
-          g += v(k, j) * d[k];
-          e[k] += v(k, j) * f;
+          g += vj[k] * d[k];
+          e[k] += vj[k] * f;
         }
         e[j] = g;
       }
@@ -60,9 +68,10 @@ void tridiagonalize(Matrix& v, Vector& d, Vector& e) {
       for (int j = 0; j < i; ++j) {
         f = d[j];
         g = e[j];
-        for (int k = j; k <= i - 1; ++k) v(k, j) -= f * e[k] + g * d[k];
-        d[j] = v(i - 1, j);
-        v(i, j) = 0.0;
+        double* vj = v.row_data(j);
+        for (int k = j; k <= i - 1; ++k) vj[k] -= f * e[k] + g * d[k];
+        d[j] = vj[i - 1];
+        vj[i] = 0.0;
       }
     }
     d[i] = h;
@@ -70,29 +79,54 @@ void tridiagonalize(Matrix& v, Vector& d, Vector& e) {
 
   // Accumulate transformations.
   for (int i = 0; i < n - 1; ++i) {
-    v(n - 1, i) = v(i, i);
+    v(i, n - 1) = v(i, i);
     v(i, i) = 1.0;
     const double h = d[i + 1];
+    double* vi1 = v.row_data(i + 1);
     if (h != 0.0) {
-      for (int k = 0; k <= i; ++k) d[k] = v(k, i + 1) / h;
-      for (int j = 0; j <= i; ++j) {
+      for (int k = 0; k <= i; ++k) d[k] = vi1[k] / h;
+      // Rows j are independent here, so four dot products run as four
+      // interleaved chains, each still summing k ascending: their adds
+      // overlap instead of each waiting on the one before it.
+      int j = 0;
+      for (; j + 3 <= i; j += 4) {
+        double* v0 = v.row_data(j);
+        double* v1 = v.row_data(j + 1);
+        double* v2 = v.row_data(j + 2);
+        double* v3 = v.row_data(j + 3);
+        double g0 = 0.0, g1 = 0.0, g2 = 0.0, g3 = 0.0;
+        for (int k = 0; k <= i; ++k) {
+          g0 += vi1[k] * v0[k];
+          g1 += vi1[k] * v1[k];
+          g2 += vi1[k] * v2[k];
+          g3 += vi1[k] * v3[k];
+        }
+        for (int k = 0; k <= i; ++k) {
+          v0[k] -= g0 * d[k];
+          v1[k] -= g1 * d[k];
+          v2[k] -= g2 * d[k];
+          v3[k] -= g3 * d[k];
+        }
+      }
+      for (; j <= i; ++j) {
+        double* vj = v.row_data(j);
         double g = 0.0;
-        for (int k = 0; k <= i; ++k) g += v(k, i + 1) * v(k, j);
-        for (int k = 0; k <= i; ++k) v(k, j) -= g * d[k];
+        for (int k = 0; k <= i; ++k) g += vi1[k] * vj[k];
+        for (int k = 0; k <= i; ++k) vj[k] -= g * d[k];
       }
     }
-    for (int k = 0; k <= i; ++k) v(k, i + 1) = 0.0;
+    for (int k = 0; k <= i; ++k) vi1[k] = 0.0;
   }
   for (int j = 0; j < n; ++j) {
-    d[j] = v(n - 1, j);
-    v(n - 1, j) = 0.0;
+    d[j] = v(j, n - 1);
+    v(j, n - 1) = 0.0;
   }
   v(n - 1, n - 1) = 1.0;
   e[0] = 0.0;
 }
 
 // Implicit-shift QL iteration on the tridiagonal (d, e); eigenvectors are
-// accumulated into v. Eigenvalues come out ascending.
+// accumulated into the rows of v. Eigenvalues come out ascending.
 void ql_iterate(Matrix& v, Vector& d, Vector& e) {
   const int n = static_cast<int>(v.rows());
   for (int i = 1; i < n; ++i) e[i - 1] = e[i];
@@ -142,10 +176,12 @@ void ql_iterate(Matrix& v, Vector& d, Vector& e) {
           c = p / r;
           p = c * d[i] - s * g;
           d[i + 1] = h + s * (c * g + s * d[i]);
+          double* vi = v.row_data(i);
+          double* vi1 = v.row_data(i + 1);
           for (int k = 0; k < n; ++k) {
-            h = v(k, i + 1);
-            v(k, i + 1) = s * v(k, i) + c * h;
-            v(k, i) = c * v(k, i) - s * h;
+            h = vi1[k];
+            vi1[k] = s * vi[k] + c * h;
+            vi[k] = c * vi[k] - s * h;
           }
         }
         p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -166,20 +202,25 @@ SymmetricEigen symmetric_eigen(const Matrix& a) {
   }
   const std::size_t n = a.rows();
   SymmetricEigen out;
-  out.eigenvectors = a;
   out.eigenvalues.assign(n, 0.0);
   if (n == 0) return out;
   if (n == 1) {
     out.eigenvalues[0] = a(0, 0);
-    out.eigenvectors(0, 0) = 1.0;
+    out.eigenvectors = Matrix(1, 1, 1.0);
     return out;
   }
 
+  // The routines work on v = a^T, so a non-symmetric input still has its
+  // lower triangle read, as the textbook column-sweeping loops read it.
+  Matrix v(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) v(j, i) = a(i, j);
+  }
   Vector e(n, 0.0);
-  tridiagonalize(out.eigenvectors, out.eigenvalues, e);
-  ql_iterate(out.eigenvectors, out.eigenvalues, e);
+  tridiagonalize(v, out.eigenvalues, e);
+  ql_iterate(v, out.eigenvalues, e);
 
-  // Sort descending, permuting eigenvector columns to match.
+  // Sort descending; eigenvector j is row order[j] of v.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
@@ -187,15 +228,13 @@ SymmetricEigen symmetric_eigen(const Matrix& a) {
                      return out.eigenvalues[x] > out.eigenvalues[y];
                    });
   Vector sorted_values(n);
-  Matrix sorted_vectors(n, n);
+  out.eigenvectors = Matrix(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     sorted_values[j] = out.eigenvalues[order[j]];
-    for (std::size_t i = 0; i < n; ++i) {
-      sorted_vectors(i, j) = out.eigenvectors(i, order[j]);
-    }
+    const double* row = v.row_data(order[j]);
+    for (std::size_t i = 0; i < n; ++i) out.eigenvectors(i, j) = row[i];
   }
   out.eigenvalues = std::move(sorted_values);
-  out.eigenvectors = std::move(sorted_vectors);
   return out;
 }
 

@@ -14,7 +14,9 @@ struct SymmetricEigen {
 };
 
 /// Householder tridiagonalisation followed by implicit-shift QL iteration
-/// (the classic tred2/tql2 pair). O(n^3), robust, no external dependencies.
+/// (the classic tred2/tql2 pair), run on the transposed working matrix so
+/// every sweep reads contiguous rows. Only the strict lower triangle and
+/// the diagonal of `a` are read. O(n^3), robust, no external dependencies.
 SymmetricEigen symmetric_eigen(const Matrix& a);
 
 }  // namespace eigenmaps::numerics

@@ -1,5 +1,6 @@
 #include "thermal/rc_model.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "sparse/conjugate_gradient.h"
@@ -83,23 +84,25 @@ numerics::Vector RcModel::steady_state(
   return temps;
 }
 
+RcModel::StepSystem RcModel::step_system(double dt) const {
+  // Written so NaN fails too: every comparison with NaN is false.
+  if (!(dt > 0.0 && std::isfinite(dt))) {
+    throw std::invalid_argument("RcModel: dt must be finite and > 0");
+  }
+  numerics::Vector c_over_dt(capacitance_.size());
+  for (std::size_t i = 0; i < c_over_dt.size(); ++i) {
+    c_over_dt[i] = capacitance_[i] / dt;
+  }
+  return StepSystem(dt, conductance_.with_diagonal_added(c_over_dt));
+}
+
 numerics::Vector RcModel::step(const numerics::Vector& state,
                                const numerics::Vector& block_power,
-                               double dt) const {
+                               const StepSystem& system) const {
   if (state.size() != grid_.cell_count()) {
     throw std::invalid_argument("RcModel::step: state size mismatch");
   }
-  if (dt <= 0.0) throw std::invalid_argument("RcModel::step: dt must be > 0");
-
-  if (dt != cached_dt_) {
-    numerics::Vector c_over_dt(capacitance_.size());
-    for (std::size_t i = 0; i < c_over_dt.size(); ++i) {
-      c_over_dt[i] = capacitance_[i] / dt;
-    }
-    cached_step_system_ = conductance_.with_diagonal_added(c_over_dt);
-    cached_dt_ = dt;
-  }
-
+  const double dt = system.dt_;
   const numerics::Vector p = cell_power(block_power);
   numerics::Vector rhs(state.size());
   numerics::Vector warm(state.size());
@@ -112,7 +115,7 @@ numerics::Vector RcModel::step(const numerics::Vector& state,
   cg.tolerance = 1e-9;
   cg.max_iterations = 5000;
   const sparse::CgResult result =
-      conjugate_gradient(cached_step_system_, rhs, &warm, cg);
+      conjugate_gradient(system.matrix_, rhs, &warm, cg);
   numerics::Vector temps(result.x.size());
   for (std::size_t i = 0; i < temps.size(); ++i) {
     temps[i] = options_.ambient + result.x[i];

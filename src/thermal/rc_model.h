@@ -10,6 +10,8 @@
 #ifndef EIGENMAPS_THERMAL_RC_MODEL_H
 #define EIGENMAPS_THERMAL_RC_MODEL_H
 
+#include <utility>
+
 #include "floorplan/grid.h"
 #include "numerics/matrix.h"
 #include "sparse/csr.h"
@@ -43,18 +45,38 @@ class RcModel {
   /// Equilibrium temperature map (deg C) for constant block power.
   numerics::Vector steady_state(const numerics::Vector& block_power) const;
 
-  /// One backward-Euler step of length dt (s) from `state` (deg C).
+  /// The backward-Euler system (C/dt + G) for one step length dt. Building
+  /// it copies the conductance matrix, so a trace builds it once and passes
+  /// it to every step. The model keeps no per-dt state of its own: a
+  /// `const RcModel&` is read-only and safe to share across threads.
+  class StepSystem {
+    friend class RcModel;
+    StepSystem(double dt, sparse::CsrMatrix matrix)
+        : dt_(dt), matrix_(std::move(matrix)) {}
+    double dt_;
+    sparse::CsrMatrix matrix_;
+  };
+
+  /// Throws std::invalid_argument unless dt (s) is finite and > 0.
+  StepSystem step_system(double dt) const;
+
+  /// One backward-Euler step, of the length `system` was built for, from
+  /// `state` (deg C); `system` must come from this model's step_system().
   numerics::Vector step(const numerics::Vector& state,
-                        const numerics::Vector& block_power, double dt) const;
+                        const numerics::Vector& block_power,
+                        const StepSystem& system) const;
+
+  /// Single-step form: builds the system for `dt`, then steps.
+  numerics::Vector step(const numerics::Vector& state,
+                        const numerics::Vector& block_power, double dt) const {
+    return step(state, block_power, step_system(dt));
+  }
 
  private:
   floorplan::ThermalGrid grid_;
   RcModelOptions options_;
   sparse::CsrMatrix conductance_;   // W / K, SPD
   numerics::Vector capacitance_;    // J / K per cell
-  // The step system matrix depends only on dt; cache it across calls.
-  mutable double cached_dt_ = -1.0;
-  mutable sparse::CsrMatrix cached_step_system_;
 };
 
 }  // namespace eigenmaps::thermal

@@ -7,6 +7,7 @@
 // All kernels accumulate in a thread-count-independent order (see
 // numerics/blas.h), so these comparisons are exact, not toleranced.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "core/pipeline.h"
 #include "core/reconstructor.h"
 #include "core/snapshot_set.h"
+#include "numerics/blas.h"
 #include "numerics/rng.h"
 
 namespace {
@@ -79,6 +81,22 @@ void check_golden(const std::string& name,
   for (std::size_t i = 0; i < actual.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]) << name << " line " << i + 1;
   }
+}
+
+/// FNV-1a over the %.17g rendering of every value, one per line: a digest
+/// of a large array that reads the same on any byte order.
+std::string fnv1a_hex(const std::vector<double>& values) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const double v : values) {
+    for (const char ch : format_value(v) + "\n") {
+      hash ^= static_cast<unsigned char>(ch);
+      hash *= 1099511628211ull;
+    }
+  }
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buffer;
 }
 
 /// Low-rank synthetic snapshot ensemble, fully determined by the seeds.
@@ -138,6 +156,45 @@ TEST(Golden, ReconstructionErrorFixedSeed) {
       core::evaluate_reconstruction(rec, maps);
   check_golden("reconstruction_error.txt",
                {format_value(errors.mse), format_value(errors.max_sq)});
+}
+
+/// The design-time pipeline at the fig2_smoke size, bit for bit: the
+/// simulated maps, the per-cell energy and the snapshot-Gram basis as
+/// digests, the leading spectrum, and Algorithm-1 sensors at K = 8,
+/// M = 12. Five scenarios split unevenly over 2, 3 and 4 threads; every
+/// thread count must reproduce the one file.
+TEST(Golden, DesignPipelineBits) {
+  core::ExperimentConfig config;
+  config.grid_width = 20;
+  config.grid_height = 18;
+  config.scenario_count = 5;
+  config.steps_per_scenario = 40;
+  config.training_stride = 2;
+  config.pca_max_order = 24;
+  config.dct_max_order = 24;
+  config.seed = 42;
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    numerics::set_blas_threads(threads);
+    const core::Experiment e = core::simulate_experiment(config);
+    const core::PcaBasis& basis = e.eigenmaps_basis();
+    ASSERT_GE(basis.eigenvalues().size(), 8u);
+    std::vector<std::string> lines = {
+        "maps " + fnv1a_hex(e.snapshots().data().storage()),
+        "energy " + fnv1a_hex(e.energy()),
+        "basis " + fnv1a_hex(basis.vectors().storage()),
+    };
+    for (std::size_t i = 0; i < 8; ++i) {
+      lines.push_back("eigenvalue " + format_value(basis.eigenvalues()[i]));
+    }
+    std::string sensors = "sensors";
+    for (const std::size_t s : core::allocate_greedy(basis, 8, 12)) {
+      sensors += " " + std::to_string(s);
+    }
+    lines.push_back(sensors);
+    check_golden("design_pipeline.txt", lines);
+  }
+  numerics::set_blas_threads(0);
 }
 
 /// Fig. 3(b) at reduced size, the paper's accuracy claim as a regression

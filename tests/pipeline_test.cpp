@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,7 @@
 #include "core/order_selection.h"
 #include "core/pipeline.h"
 #include "core/reconstructor.h"
+#include "numerics/blas.h"
 
 namespace {
 
@@ -55,6 +59,19 @@ TEST(Pipeline, SimulationIsDeterministic) {
     ASSERT_DOUBLE_EQ(a.snapshots().data().storage()[i],
                      b.snapshots().data().storage()[i]);
   }
+}
+
+TEST(Pipeline, NonFiniteDtThrowsFromTheScenarioThreads) {
+  // Three threads for three scenarios: every scenario throws on its own
+  // thread, and each exception must reach the caller, not std::terminate.
+  core::ExperimentConfig config = tiny_config();
+  numerics::set_blas_threads(3);
+  for (const double dt : {std::nan(""),
+                          std::numeric_limits<double>::infinity()}) {
+    config.dt = dt;
+    EXPECT_THROW(core::simulate_experiment(config), std::invalid_argument);
+  }
+  numerics::set_blas_threads(0);
 }
 
 TEST(Pipeline, EndToEndReconstructionBeatsTheMeanBaseline) {

@@ -1,3 +1,10 @@
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "floorplan/floorplan.h"
@@ -88,6 +95,47 @@ TEST_F(ThermalTest, StepMovesTowardTheNewEquilibrium) {
   for (std::size_t i = 0; i < state.size(); ++i) {
     EXPECT_GT(state[i], before[i]);
     EXPECT_LT(state[i], before[i] + 50.0);
+  }
+}
+
+TEST_F(ThermalTest, StepRejectsNonFiniteDt) {
+  const numerics::Vector power(plan_.block_count(), 2.0);
+  const numerics::Vector state = model_.steady_state(power);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double dt : {std::nan(""), inf, -inf, 0.0, -1e-3}) {
+    EXPECT_THROW(model_.step(state, power, dt), std::invalid_argument) << dt;
+    EXPECT_THROW(model_.step_system(dt), std::invalid_argument) << dt;
+  }
+}
+
+TEST_F(ThermalTest, SharedModelStepsBitIdenticallyFromFourThreads) {
+  // Each trace alternates two step lengths of its own, so a per-dt cache
+  // inside the shared model would be rebuilt under the other threads' feet.
+  const thermal::RcModel& shared = model_;
+  const auto trace = [&](std::size_t k) {
+    numerics::Vector power(plan_.block_count(), 0.5 + 0.5 * k);
+    numerics::Vector state = shared.steady_state(power);
+    const double dt = 1e-3 * static_cast<double>(k + 1);
+    for (std::size_t i = 0; i < 100; ++i) {
+      power[i % power.size()] += 0.25;
+      state = shared.step(state, power, i % 2 == 0 ? dt : 0.5 * dt);
+    }
+    return state;
+  };
+  constexpr std::size_t kThreads = 4;
+  std::vector<numerics::Vector> serial(kThreads), threaded(kThreads);
+  for (std::size_t k = 0; k < kThreads; ++k) serial[k] = trace(k);
+  std::vector<std::thread> pool;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    pool.emplace_back([&, k] { threaded[k] = trace(k); });
+  }
+  for (std::thread& th : pool) th.join();
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    ASSERT_EQ(threaded[k].size(), serial[k].size());
+    EXPECT_EQ(std::memcmp(threaded[k].data(), serial[k].data(),
+                          serial[k].size() * sizeof(double)),
+              0)
+        << "thread " << k;
   }
 }
 
