@@ -15,15 +15,14 @@
 // in reference_kernels.h: ULP-bounded for the -ffp-contract=fast GEMM
 // family (matmul, matmul_bias, matmul_acc; float-epsilon-bounded for
 // gemm_f32) on every tier, bit-for-bit for the golden-path kernels (gram,
-// matvec, matvec_t, qr, downdate, eigen), which have no tiers (see
-// dispatched()).
+// matvec, matvec_t, qr, eigen), which have no tiers (see dispatched()).
 // GEMM, gram and gemm_f32 acc also run on strided views (row stride >
 // cols) to exercise the masked edge columns. This translation unit must
 // stay -ffp-contract=off so the references define exact bit patterns.
 //
 // Kernels and shapes:
 //   matmul m k n | matmul_bias m k n | matmul_acc m k n | gemm_f32 m k n
-//   gram m n | matvec m n | matvec_t m n | qr m n | downdate n | eigen n
+//   gram m n | matvec m n | matvec_t m n | qr m n | eigen n
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -80,14 +79,14 @@ struct Case {
 
 /// The built-in sweep: the serving shapes (Niagara expansion 16 -> 3360
 /// tall-skinny B, batch 1/32/128 multi-RHS, the 24 x 16 QR every model
-/// build and FactorCache refactor runs, and the downdate widths the
-/// dropout path hits), larger QRs and square GEMMs for context, and
-/// acc-only edge shapes that stress the masked tails (cols % 8/16 != 0,
-/// rows % tile != 0). matvec and matvec_t are acc-only: nothing in the
-/// library calls them, so their speed serves no caller. The design-time
-/// setup kernels close the list: the snapshot Gram (3360 x 663 at paper
-/// size), its 663 x 663 eigendecomposition and the 16 x 16 one every
-/// singular_values call runs (model build, greedy rank guard, refactor).
+/// build and FactorCache refactor runs), larger QRs and square GEMMs for
+/// context, and acc-only edge shapes that stress the masked tails
+/// (cols % 8/16 != 0, rows % tile != 0). matvec and matvec_t are
+/// acc-only: nothing in the library calls them, so their speed serves no
+/// caller. The design-time setup kernels close the list: the snapshot Gram
+/// (3360 x 663 at paper size), its 663 x 663 eigendecomposition and the
+/// 16 x 16 one every singular_values call runs (model build, greedy rank
+/// guard, refactor).
 const std::vector<Case>& sweep() {
   static const std::vector<Case> kSweep = {
       {"matmul_bias", {1, 16, 3360}, Mode::kBoth},
@@ -122,11 +121,6 @@ const std::vector<Case>& sweep() {
       {"qr", {3360, 16}, Mode::kBoth},
       {"qr", {256, 48}, Mode::kBoth},
       {"qr", {100, 37}, Mode::kAccOnly},
-      {"downdate", {16}, Mode::kBoth},
-      {"downdate", {48}, Mode::kBoth},
-      {"downdate", {64}, Mode::kBoth},
-      {"downdate", {37}, Mode::kAccOnly},
-      {"downdate", {5}, Mode::kAccOnly},
       {"gram", {3360, 663}, Mode::kBoth},
       {"eigen", {16}, Mode::kBoth},
       {"eigen", {663}, Mode::kBoth},
@@ -186,14 +180,10 @@ double flops_for(const std::string& kernel,
     const double n = static_cast<double>(d[1]);
     return 2.0 * n * n * (m - n / 3.0);
   }
-  if (kernel == "eigen") {
-    // The usual ~9 n^3 for tridiagonalisation plus QL with eigenvectors.
-    const double n = static_cast<double>(d[0]);
-    return 9.0 * n * n * n;
-  }
-  // downdate: sweep ~3 n^2 plus the forward substitution ~n^2.
+  // eigen: the usual ~9 n^3 for tridiagonalisation plus QL with
+  // eigenvectors.
   const double n = static_cast<double>(d[0]);
-  return 4.0 * n * n;
+  return 9.0 * n * n * n;
 }
 
 // ---- accuracy mode ------------------------------------------------------
@@ -405,23 +395,6 @@ bool run_acc_case(const std::string& kernel,
     pass = check_bitwise(qr.r().view(), ref_r.view()) &&
            check_bitwise(qr.thin_q().view(), ref_q.view());
     detail = "bitwise (R and thin Q)";
-  } else if (kernel == "downdate") {
-    const std::size_t n = dims[0];
-    const Matrix a = random_matrix(n + 8, n, 99);
-    const Matrix r0 = numerics::HouseholderQr(a).r();
-    Matrix ref_r(n, n), r(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ref_r.set_row(i, r0.row_view(i));
-      r.set_row(i, r0.row_view(i));
-    }
-    // Deleting a row that is actually in A keeps leverage < 1.
-    const bool ref_ok = bench::ref_downdate_r_row(ref_r.view(),
-                                                  a.row_data(0));
-    Vector scratch(3 * n);
-    const bool lib_ok = numerics::downdate_r_row(r.view(), a.row_data(0),
-                                                 scratch);
-    pass = ref_ok && lib_ok && check_bitwise(r.view(), ref_r.view());
-    detail = "bitwise";
   } else if (kernel == "eigen") {
     // A symmetric input; a block-diagonal one, whose uncoupled leading
     // block sends tridiagonalisation through its scale == 0 branch; and a
@@ -544,8 +517,8 @@ void run_perf_round(const std::string& kernel,
 
   // Inputs shared by reference and library timings.
   std::function<void()> ref_fn, lib_fn;
-  Matrix a, b, c, ref_c, r0;
-  Vector bias, x, y, scratch;
+  Matrix a, b, c, ref_c;
+  Vector bias, x, y;
   std::vector<float> bf, biasf;
   if (kernel == "matmul" || kernel == "matmul_bias" ||
       kernel == "matmul_acc") {
@@ -627,20 +600,6 @@ void run_perf_round(const std::string& kernel,
       bench::ref_householder_qr(packed.view(), tau, diag);
     };
     lib_fn = [&] { numerics::HouseholderQr qr(a); (void)qr; };
-  } else if (kernel == "downdate") {
-    const std::size_t n = dims[0];
-    a = random_matrix(n + 8, n, 99);
-    r0 = numerics::HouseholderQr(a).r();
-    c = Matrix(n, n);
-    scratch = Vector(3 * n);
-    ref_fn = [&, n] {
-      for (std::size_t i = 0; i < n; ++i) c.set_row(i, r0.row_view(i));
-      bench::ref_downdate_r_row(c.view(), a.row_data(0));
-    };
-    lib_fn = [&, n] {
-      for (std::size_t i = 0; i < n; ++i) c.set_row(i, r0.row_view(i));
-      numerics::downdate_r_row(c.view(), a.row_data(0), scratch);
-    };
   } else if (kernel == "eigen") {
     const Matrix general = random_matrix(dims[0], dims[0], 111);
     a = numerics::gram(general);  // symmetric PSD, like the snapshot Gram
@@ -881,7 +840,7 @@ int usage() {
                "  kernels: matmul m k n | matmul_bias m k n | "
                "matmul_acc m k n |\n"
                "           gemm_f32 m k n | gram m n | matvec m n |\n"
-               "           matvec_t m n | qr m n | downdate n | eigen n\n");
+               "           matvec_t m n | qr m n | eigen n\n");
   return 2;
 }
 

@@ -6,8 +6,8 @@
 // Any translation unit that compares bit patterns or ULP distances
 // against these references must be compiled with -ffp-contract=off: the
 // references define the exact results the golden-path kernels (gram,
-// matvec, the compiled QR, the Givens sweep and the symmetric eigensolver
-// — one loop on every ISA tier) reproduce, and the ULP baseline the
+// matvec, the compiled QR and the symmetric eigensolver — one loop on
+// every ISA tier) reproduce, and the ULP baseline the
 // dispatched GEMM family is measured against. Timing-only users
 // (throughput_streaming, micro_kernels) may compile however they like.
 #ifndef EIGENMAPS_BENCH_REFERENCE_KERNELS_H
@@ -158,53 +158,6 @@ inline numerics::Matrix ref_thin_q(numerics::ConstMatrixView qr,
     }
   }
   return q;
-}
-
-/// Scalar Givens sweep of the row downdate: rotations (c[i], s[i])
-/// applied bottom-up per column with the hyperbolic carry — the loop the
-/// vectorised sweep must match bit-for-bit.
-inline void ref_givens_sweep(numerics::MatrixView r, const double* c,
-                             const double* s) {
-  const std::size_t n = r.rows();
-  for (std::size_t j = 0; j < n; ++j) {
-    double xx = 0.0;
-    for (std::size_t i = j + 1; i-- > 0;) {
-      const double t = c[i] * xx + s[i] * r(i, j);
-      r(i, j) = c[i] * r(i, j) - s[i] * xx;
-      xx = t;
-    }
-  }
-}
-
-/// Scalar row downdate (the full downdate_r_row algorithm with the sweep
-/// above): same leverage guard and rotation construction as the library,
-/// so on success the two differ only if a vectorised sweep broke
-/// bit-identity.
-inline bool ref_downdate_r_row(numerics::MatrixView r, const double* row) {
-  const std::size_t n = r.rows();
-  std::vector<double> q(n), c(n), s(n);
-  double leverage = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = row[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= r(j, i) * q[j];
-    if (r(i, i) == 0.0) return false;
-    q[i] = acc / r(i, i);
-    leverage += q[i] * q[i];
-  }
-  constexpr double kLeverageGuard = 1e-12;
-  if (leverage >= 1.0 - kLeverageGuard) return false;
-  double alpha = std::sqrt(1.0 - leverage);
-  for (std::size_t i = n; i-- > 0;) {
-    const double scale = alpha + std::abs(q[i]);
-    const double ca = alpha / scale;
-    const double sa = q[i] / scale;
-    const double norm = std::sqrt(ca * ca + sa * sa);
-    c[i] = ca / norm;
-    s[i] = sa / norm;
-    alpha = scale * norm;
-  }
-  ref_givens_sweep(r, c.data(), s.data());
-  return true;
 }
 
 // Householder reduction of v (n x n, symmetric) to tridiagonal form.

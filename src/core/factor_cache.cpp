@@ -109,15 +109,6 @@ MaskedFactor::MaskedFactor(SensorBitmask mask, std::vector<std::size_t> active,
       qr_(std::move(qr)) {}
 
 MaskedFactor::MaskedFactor(SensorBitmask mask, std::vector<std::size_t> active,
-                           double condition,
-                           numerics::SeminormalSolver seminormal)
-    : mask_(std::move(mask)),
-      active_(std::move(active)),
-      condition_(condition),
-      method_(Method::kDowndated),
-      seminormal_(std::move(seminormal)) {}
-
-MaskedFactor::MaskedFactor(SensorBitmask mask, std::vector<std::size_t> active,
                            std::shared_ptr<const ReconstructionModel> model)
     : mask_(std::move(mask)),
       active_(std::move(active)),
@@ -125,27 +116,23 @@ MaskedFactor::MaskedFactor(SensorBitmask mask, std::vector<std::size_t> active,
       method_(Method::kFullFactor),
       full_model_(std::move(model)) {}
 
+const numerics::HouseholderQr& MaskedFactor::solver() const {
+  return full_model_ ? full_model_->full_factor() : *qr_;
+}
+
 std::size_t MaskedFactor::solve_scratch_doubles() const {
-  if (full_model_) return full_model_->full_factor().scratch_doubles();
-  return qr_ ? qr_->scratch_doubles() : seminormal_->scratch_doubles();
+  return solver().scratch_doubles();
 }
 
 void MaskedFactor::solve_batch_into(numerics::ConstMatrixView centered,
                                     numerics::MatrixView alpha,
                                     numerics::VectorView scratch) const {
-  if (full_model_) {
-    full_model_->full_factor().solve_batch_into(centered, alpha, scratch);
-  } else if (qr_) {
-    qr_->solve_batch_into(centered, alpha, scratch);
-  } else {
-    seminormal_->solve_batch_into(centered, alpha, scratch);
-  }
+  solver().solve_batch_into(centered, alpha, scratch);
 }
 
 numerics::Matrix MaskedFactor::solve_batch(
     numerics::ConstMatrixView centered) const {
-  if (full_model_) return full_model_->full_factor().solve_batch(centered);
-  return qr_ ? qr_->solve_batch(centered) : seminormal_->solve_batch(centered);
+  return solver().solve_batch(centered);
 }
 
 std::size_t MaskedFactor::resident_bytes() const {
@@ -153,10 +140,6 @@ std::size_t MaskedFactor::resident_bytes() const {
   if (qr_) {
     // Packed factor + tau + diag.
     doubles = qr_->rows() * qr_->cols() + 2 * qr_->cols();
-  } else if (seminormal_) {
-    // n x n triangular R + the m x n surviving rows.
-    doubles = seminormal_->cols() * seminormal_->cols() +
-              seminormal_->rows() * seminormal_->cols();
   }
   return doubles * sizeof(double) + active_.size() * sizeof(std::size_t);
 }
@@ -172,7 +155,6 @@ FactorCache::FactorCache(std::shared_ptr<const ReconstructionModel> model,
   if (!model_) {
     throw std::invalid_argument("FactorCache: null model");
   }
-  full_r_ = model_->full_factor().r();
   // Borrows the model's own factor — bit-identical to the undegraded
   // path, no duplicate factorization.
   SensorBitmask all(model_->sensor_count());
@@ -183,7 +165,6 @@ FactorCache::FactorCache(std::shared_ptr<const ReconstructionModel> model,
 
 std::shared_ptr<const MaskedFactor> FactorCache::build(
     const SensorBitmask& mask) const {
-  const std::size_t m = model_->sensor_count();
   const std::size_t k = model_->order();
   std::vector<std::size_t> active = mask.active_slots();
   if (active.size() < k) {
@@ -192,9 +173,7 @@ std::shared_ptr<const MaskedFactor> FactorCache::build(
     throw std::invalid_argument(
         "FactorCache: surviving sensors fewer than the model order");
   }
-  const std::size_t dropped_count = m - active.size();
   const numerics::Matrix& sampled = model_->sampled_basis();
-
   numerics::Matrix surviving(active.size(), k);
   for (std::size_t i = 0; i < active.size(); ++i) {
     const double* src = sampled.row_data(active[i]);
@@ -202,35 +181,9 @@ std::shared_ptr<const MaskedFactor> FactorCache::build(
     for (std::size_t j = 0; j < k; ++j) dst[j] = src[j];
   }
 
-  if (dropped_count > 0 && dropped_count <= options_.downdate_limit) {
-    numerics::Matrix r = full_r_;
-    numerics::Vector scratch(3 * k);
-    bool alive = true;
-    for (std::size_t s = 0; s < m && alive; ++s) {
-      if (!mask.active(s)) {
-        alive = numerics::downdate_r_row(r.view(), sampled.row_data(s),
-                                         scratch);
-      }
-    }
-    if (alive) {
-      // A chain of individually-healthy downdates can still degrade the
-      // factor; recheck conditioning before trusting it. The limit here
-      // is the CSNE accuracy bound, not the serving ceiling, and an
-      // estimate past it is NOT a rejection — the refactor path below
-      // re-judges with exact singular values.
-      const double condition = numerics::triangular_condition_1(r);
-      if (condition <= options_.downdate_condition_limit &&
-          condition <= options_.condition_ceiling) {
-        return std::shared_ptr<const MaskedFactor>(new MaskedFactor(
-            mask, std::move(active), condition,
-            numerics::SeminormalSolver(std::move(r), std::move(surviving))));
-      }
-    }
-    // Downdate hit (near-)rank loss or suspect conditioning: fall through
-    // and let the exact singular values of the surviving rows deliver the
-    // verdict.
-  }
-
+  // The rank guard, condition and factor of a ReconstructionModel built on
+  // the survivors, computed the same way from the same rows: masked output
+  // is that model's, bit for bit.
   const numerics::Vector sv = numerics::singular_values(surviving);
   if (sv.empty() || sv.front() <= 0.0 ||
       sv.back() < options_.rank_tolerance * sv.front()) {
@@ -315,11 +268,7 @@ std::shared_ptr<const MaskedFactor> FactorCache::lookup_or_build(
     throw;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (built->method() == MaskedFactor::Method::kDowndated) {
-    ++stats_.downdates;
-  } else {
-    ++stats_.refactors;
-  }
+  ++stats_.refactors;
   auto it = index_.find(key);
   if (it != index_.end()) {
     // Raced another builder; keep the resident factor.
@@ -411,8 +360,7 @@ std::size_t FactorCache::size() const {
 
 std::size_t FactorCache::resident_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t bytes = full_r_.storage().size() * sizeof(double);
-  if (full_factor_) bytes += full_factor_->resident_bytes();
+  std::size_t bytes = full_factor_->resident_bytes();
   for (const LruEntry& entry : lru_) {
     bytes += entry.second->resident_bytes();
   }

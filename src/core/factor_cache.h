@@ -5,9 +5,11 @@
 // for one fixed sensor set, so every distinct survivor set is a distinct
 // inverse problem with its own factor, rank guard, and condition number.
 // The cache keys factors by the active-sensor bitmask and builds each one
-// lazily — by Givens row-downdating the full-sensor R for small dropout
-// counts, by refactoring the surviving rows otherwise — re-enforcing the
-// rank guard and a condition-number ceiling per mask.
+// lazily, as a Householder QR of the surviving rows: the same rank guard,
+// factor and solve a ReconstructionModel built on those sensors runs, so a
+// masked reconstruction is bit-identical to a from-scratch one. A
+// condition-number ceiling on top rejects masks too ill-conditioned to
+// serve.
 #ifndef EIGENMAPS_CORE_FACTOR_CACHE_H
 #define EIGENMAPS_CORE_FACTOR_CACHE_H
 
@@ -95,31 +97,25 @@ struct FactorCacheOptions {
   /// ceiling the reconstruction amplifies sensor noise beyond use (Fig. 5)
   /// and the caller should fall back (fewer orders, interpolation, ...).
   double condition_ceiling = 1e8;
-  /// Dropout counts up to this build their factor by O(k^2)-per-row Givens
-  /// downdates of the full-sensor R; beyond it the surviving rows are
-  /// refactored from scratch (O(m k^2), exact).
-  std::size_t downdate_limit = 4;
-  /// A downdated factor is only trusted while its (1-norm) condition
-  /// estimate stays below this: corrected seminormal equations hold
-  /// QR-level accuracy only while cond^2 * eps << 1, well short of
-  /// condition_ceiling. Estimates past it (or rank loss mid-downdate)
-  /// fall back to the exact refactorization, which alone decides
-  /// acceptance — the inexact estimate never rejects a mask.
-  double downdate_condition_limit = 1e6;
+  /// Kept only so the frozen serving ledger (perfbench/serve.cpp) still
+  /// compiles; always 0: every mask refactors.
+  static constexpr std::size_t downdate_limit = 0;
 };
 
 /// Monotonic counters; read with FactorCache::stats().
 struct FactorCacheStats {
   std::uint64_t hits = 0;       // factor served from the cache
   std::uint64_t misses = 0;     // factor had to be built
-  std::uint64_t downdates = 0;  // ... by downdating the full-sensor R
-  std::uint64_t refactors = 0;  // ... by refactoring the surviving rows
+  std::uint64_t refactors = 0;  // factors built (QR of the surviving rows)
   std::uint64_t evictions = 0;  // LRU entries dropped at capacity
   std::uint64_t rejections = 0; // masks refused: rank loss / past ceiling
   /// Batches served on the undegraded full-sensor path, which bypasses
   /// the cache entirely — kept out of hits so the hit rate measures the
   /// cache, not the absence of dropout.
   std::uint64_t full_mask_batches = 0;
+  /// Kept only so the frozen serving ledger (perfbench/serve.cpp) still
+  /// compiles; always 0, never counted or exported.
+  static constexpr std::uint64_t downdates = 0;
 };
 
 /// One survivor set's solver, immutable once built: solve_batch maps
@@ -131,7 +127,9 @@ class MaskedFactor {
   enum class Method {
     kFullFactor,  // all sensors alive: the model's own factor, borrowed
     kRefactored,  // fresh Householder QR of the surviving rows
-    kDowndated,   // Givens-downdated R + corrected seminormal equations
+    // Kept only so the frozen serving ledger (perfbench/serve.cpp) still
+    // compiles; no factor has this method.
+    kDowndated,
   };
 
   const SensorBitmask& mask() const { return mask_; }
@@ -160,19 +158,19 @@ class MaskedFactor {
   friend class FactorCache;
   MaskedFactor(SensorBitmask mask, std::vector<std::size_t> active,
                double condition, numerics::HouseholderQr qr);
-  MaskedFactor(SensorBitmask mask, std::vector<std::size_t> active,
-               double condition, numerics::SeminormalSolver seminormal);
   /// Full-sensor variant: borrows (and keeps alive) the model's own
   /// factor instead of recomputing it.
   MaskedFactor(SensorBitmask mask, std::vector<std::size_t> active,
                std::shared_ptr<const ReconstructionModel> model);
+
+  /// The model's factor for the full-sensor variant, qr_ otherwise.
+  const numerics::HouseholderQr& solver() const;
 
   SensorBitmask mask_;
   std::vector<std::size_t> active_;
   double condition_;
   Method method_;
   std::optional<numerics::HouseholderQr> qr_;
-  std::optional<numerics::SeminormalSolver> seminormal_;
   std::shared_ptr<const ReconstructionModel> full_model_;
 };
 
@@ -218,9 +216,9 @@ class FactorCache {
   FactorCacheStats stats() const;
   /// Resident dropout patterns (full-sensor pattern excluded).
   std::size_t size() const;
-  /// Heap bytes the cache currently holds: the downdate seed R plus every
-  /// resident factor's solver storage (per-model memory accounting,
-  /// surfaced through ModelStats::factor_cache_bytes).
+  /// Heap bytes the cache currently holds: every resident factor's solver
+  /// storage (per-model memory accounting, surfaced through
+  /// ModelStats::factor_cache_bytes).
   std::size_t resident_bytes() const;
 
  private:
@@ -230,7 +228,6 @@ class FactorCache {
 
   const std::shared_ptr<const ReconstructionModel> model_;
   const FactorCacheOptions options_;
-  numerics::Matrix full_r_;  // R of the full-sensor factor, downdate seed
   // The full-sensor pattern, built once at construction: permanently
   // resident so it can never evict a genuinely degraded mask.
   std::shared_ptr<const MaskedFactor> full_factor_;

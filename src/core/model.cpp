@@ -121,7 +121,7 @@ ReconstructionModel::SampledFactor ReconstructionModel::factor_sampled(
     throw std::invalid_argument(
         "ReconstructionModel: sampled basis rank deficient");
   }
-  numerics::HouseholderQr solver(sampled);  // copy: Psi~ rows feed downdates
+  numerics::HouseholderQr solver(sampled);  // copy: masks factor Psi~ rows
   return {std::move(sampled), std::move(solver), sv.front() / sv.back()};
 }
 
@@ -191,11 +191,10 @@ numerics::Matrix ReconstructionModel::subspace() const {
 std::size_t ReconstructionModel::workspace_doubles(std::size_t frames) const {
   const std::size_t m = sensors_.size();
   // Centered readings + coefficients + solver scratch. The scratch term
-  // (m + k) covers the full-sensor QR (m) and every masked solver a
-  // FactorCache can build on this model (QR of fewer rows, or the
-  // seminormal pair active + k <= m + k).
+  // (m) covers the full-sensor QR and every masked QR a FactorCache can
+  // build on this model (fewer rows).
   return Workspace::padded(frames * m) + Workspace::padded(frames * k_) +
-         Workspace::padded(m + k_);
+         Workspace::padded(m);
 }
 
 void ReconstructionModel::sample_into(numerics::ConstVectorView map,

@@ -82,8 +82,8 @@ class ReconstructionModel {
   const numerics::Vector& mean_map() const { return mean_map_; }
   const numerics::Vector& mean_at_sensors() const { return mean_at_sensors_; }
 
-  /// The sampled basis Psi~ (sensors x k); the factor cache reads single
-  /// rows of it to downdate, and row subsets to refactor.
+  /// The sampled basis Psi~ (sensors x k); the factor cache factors row
+  /// subsets of it, one per dead-sensor mask.
   const numerics::Matrix& sampled_basis() const { return factor_.sampled; }
 
   /// The full basis slice V_k (N x k, orthonormal columns), transposed out

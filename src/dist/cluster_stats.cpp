@@ -13,7 +13,6 @@ void merge_model_stats(runtime::ModelStats& into,
   into.cache_hits += from.cache_hits;
   into.cache_misses += from.cache_misses;
   into.cache_full_mask_batches += from.cache_full_mask_batches;
-  into.factor_downdates += from.factor_downdates;
   into.factor_refactors += from.factor_refactors;
   into.steady_state_allocations += from.steady_state_allocations;
   into.hot_swaps_served += from.hot_swaps_served;

@@ -241,6 +241,11 @@ RegisterModelMsg decode_register_model(const std::uint8_t* data,
   msg.model = r.u64();
   msg.order = r.u64();
   const std::uint64_t sensor_count = r.u64();
+  // Bounded by the bytes present before anything is reserved: a wire count
+  // would otherwise size the allocation.
+  if (sensor_count > r.remaining() / sizeof(std::uint64_t)) {
+    throw ProtocolError("dist: truncated payload");
+  }
   msg.sensors.reserve(sensor_count);
   for (std::uint64_t s = 0; s < sensor_count; ++s) {
     msg.sensors.push_back(static_cast<std::size_t>(r.u64()));
@@ -250,11 +255,15 @@ RegisterModelMsg decode_register_model(const std::uint8_t* data,
   const std::uint64_t cols = r.u64();
   numerics::Vector flat;
   r.doubles(flat);
-  if (flat.size() != rows * cols) {
-    throw ProtocolError("dist: subspace size != rows * cols");
-  }
   if (rows != msg.mean_map.size() || cols != msg.order) {
     throw ProtocolError("dist: subspace shape inconsistent with model");
+  }
+  // Divide, never multiply: rows * cols wraps for a wire-supplied order
+  // near 2^64 / rows, which would pass a short payload off as a huge
+  // matrix (Matrix's own storage check wraps the same way).
+  if (rows == 0 ? !flat.empty()
+                : (flat.size() % rows != 0 || flat.size() / rows != cols)) {
+    throw ProtocolError("dist: subspace size != rows * cols");
   }
   msg.subspace = numerics::Matrix(rows, cols, std::move(flat));
   const std::uint8_t backend = r.u8();
@@ -475,7 +484,6 @@ void encode_engine_stats(const runtime::EngineStats& stats,
     w.u64(m.cache_hits);
     w.u64(m.cache_misses);
     w.u64(m.cache_full_mask_batches);
-    w.u64(m.factor_downdates);
     w.u64(m.factor_refactors);
     w.u64(m.steady_state_allocations);
     w.u64(m.hot_swaps_served);
@@ -540,7 +548,6 @@ runtime::EngineStats decode_engine_stats(const std::uint8_t* data,
     m.cache_hits = r.u64();
     m.cache_misses = r.u64();
     m.cache_full_mask_batches = r.u64();
-    m.factor_downdates = r.u64();
     m.factor_refactors = r.u64();
     m.steady_state_allocations = r.u64();
     m.hot_swaps_served = r.u64();

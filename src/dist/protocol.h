@@ -49,8 +49,10 @@ inline constexpr std::uint32_t kWireMagic = 0x454D5031;  // "EMP1"
 // kResult carries a descriptor into the shard's shared-memory result arena
 // instead of the maps themselves (DESIGN.md §12); v6: kRegisterModel
 // carries the model's expansion backend and fp32 error budget, and the
-// stats payload drops the blocked-CSR gauges.
-inline constexpr std::uint16_t kProtocolVersion = 6;
+// stats payload drops the blocked-CSR gauges; v7: the stats payload drops
+// the factor-downdate counter (every dead-sensor mask refactors,
+// DESIGN.md §9).
+inline constexpr std::uint16_t kProtocolVersion = 7;
 /// Sanity ceiling on one payload; a length past it is a corrupt header.
 /// Also the address space each side reserves for a shard's result arena.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;

@@ -11,8 +11,8 @@
 // Only the two expansion GEMMs dispatch on the tier: the fp64 family
 // (already -ffp-contract=fast) differs across tiers within its documented
 // ULP bound, the fp32 backend within its error budget. Every golden-path
-// kernel (gram, matvec, QR, the downdate sweep) is one compiled loop, so
-// the selection never changes a golden byte.
+// kernel (gram, matvec, QR, the eigensolver) is one compiled loop, so the
+// selection never changes a golden byte.
 #ifndef EIGENMAPS_NUMERICS_ISA_H
 #define EIGENMAPS_NUMERICS_ISA_H
 

@@ -1,4 +1,6 @@
-// Householder QR for tall-thin systems and least squares.
+// Householder QR for tall-thin systems and least squares: the one
+// factorisation behind every reconstruction, the full-sensor model's and
+// each dead-sensor mask's alike (DESIGN.md §9).
 //
 // Every solver here has two forms: a view-based `_into` form writing a
 // caller-provided output through caller-provided scratch (the
@@ -63,82 +65,6 @@ class HouseholderQr {
 
 /// One-shot least squares; factors and solves.
 Vector solve_least_squares(const Matrix& a, const Vector& b);
-
-/// In-place Givens downdate (LINPACK dchdd) of an upper-triangular n x n
-/// factor `r` after deleting one row `row` (n values) from the matrix it
-/// factors: on success R'^T R' = R^T R - row row^T. Returns false — and
-/// leaves `r` unspecified — when the deleted row is (numerically) essential
-/// to the rank, i.e. its leverage ||R^-T row||^2 reaches 1: the surviving
-/// rows no longer determine all n directions (Theorem 1's rank guard).
-/// O(n^2); the cheap path for small dropout counts, versus an O(m n^2)
-/// refactorization of the surviving rows. The view form takes 3n doubles
-/// of caller scratch; the owning form allocates them.
-bool downdate_r_row(MatrixView r, const double* row, VectorView scratch);
-bool downdate_r_row(Matrix& r, const double* row);
-
-/// In-place Givens update of an upper-triangular n x n factor `r` after
-/// appending one row `row` (n values) to the matrix it factors:
-/// R'^T R' = R^T R + row row^T — the symmetric counterpart of
-/// downdate_r_row, and the rank-1 streaming update for a snapshot
-/// Gram/covariance held in factored form. Adding a row can only improve
-/// the rank, so unlike the downdate this always succeeds; rows of R that
-/// a rotation touches come out with a non-negative diagonal entry. O(n^2).
-/// The view form takes n doubles of caller scratch (a mutable copy of the
-/// appended row); the owning form allocates them.
-void update_r_row(MatrixView r, const double* row, VectorView scratch);
-void update_r_row(Matrix& r, const double* row);
-
-/// 1-norm condition number ||R||_1 ||R^-1||_1 of an upper-triangular R via
-/// the explicit inverse — O(n^3), fine for the k x k factors this library
-/// produces (k is tens). Returns +inf when a diagonal entry is zero. The
-/// conditioning recheck after a chain of downdates, which can degrade a
-/// factor without any single step failing.
-double triangular_condition_1(const Matrix& r);
-
-/// Least squares from an R factor alone (no Q), for factors produced by
-/// row-downdating: corrected seminormal equations. x0 solves
-/// R^T R x0 = A^T b, then one refinement pass x = x0 + (R^T R)^-1 A^T
-/// (b - A x0) recovers QR-level accuracy as long as cond(R) is controlled
-/// (which the factor cache's condition ceiling enforces).
-class SeminormalSolver {
- public:
-  /// `r` is n x n upper triangular, `a` the m x n surviving rows it
-  /// (approximately) factors, kept for the A^T products and the
-  /// refinement residual.
-  SeminormalSolver(Matrix r, Matrix a);
-
-  std::size_t rows() const { return a_.rows(); }
-  std::size_t cols() const { return a_.cols(); }
-  const Matrix& r() const { return r_; }
-
-  /// Doubles of scratch solve_into / solve_batch_into need
-  /// (rows() residual + cols() correction).
-  std::size_t scratch_doubles() const { return a_.rows() + a_.cols(); }
-
-  /// Least-squares solution of A x = b into `x` (cols() entries), using
-  /// `scratch` (scratch_doubles() entries).
-  void solve_into(ConstVectorView b, VectorView x, VectorView scratch) const;
-
-  /// Least-squares solution of A x = b (b has rows() entries).
-  Vector solve(ConstVectorView b) const;
-
-  /// Batched solve_into: one right-hand side per ROW of `rhs_rows`
-  /// (batch x rows()), solutions in the rows of `x` (batch x cols()),
-  /// matching solve_into per row.
-  void solve_batch_into(ConstMatrixView rhs_rows, MatrixView x,
-                        VectorView scratch) const;
-
-  /// Owning solve_batch_into; returns batch x cols().
-  Matrix solve_batch(ConstMatrixView rhs_rows) const;
-
- private:
-  void solve_unchecked(const double* b, double* residual_m,
-                       double* correction_n, double* x_out) const;
-  void solve_normal(double* x) const;  // x <- (R^T R)^{-1} x in place
-
-  Matrix r_;  // n x n upper triangular
-  Matrix a_;  // m x n surviving rows
-};
 
 }  // namespace eigenmaps::numerics
 

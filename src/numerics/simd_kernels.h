@@ -3,8 +3,8 @@
 // only kernels with per-ISA implementations. Internal to numerics: the
 // public GEMMs in blas_gemm.cpp / gemm_f32.cpp dispatch here on
 // active_isa(), and callers never see these symbols. Every other kernel
-// (gram, matvec, QR, the downdate sweep) is one compiled loop on every
-// tier, so no golden-path result depends on the CPU (DESIGN.md §13).
+// (gram, matvec, QR, the eigensolver) is one compiled loop on every tier,
+// so no golden-path result depends on the CPU (DESIGN.md §13).
 //
 // The definitions only exist when CMake compiles the x86 kernel TUs
 // (EIGENMAPS_HAVE_X86_KERNELS); every call site is guarded by the same

@@ -121,8 +121,6 @@ void render_engine(std::string& out, const runtime::EngineStats& stats) {
     line_u64(out, "eigenmaps_model_cache_misses", label, m.cache_misses);
     line_u64(out, "eigenmaps_model_cache_full_mask_batches", label,
              m.cache_full_mask_batches);
-    line_u64(out, "eigenmaps_model_factor_downdates", label,
-             m.factor_downdates);
     line_u64(out, "eigenmaps_model_factor_refactors", label,
              m.factor_refactors);
     line_u64(out, "eigenmaps_model_steady_state_allocations", label,

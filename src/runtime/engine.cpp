@@ -573,7 +573,6 @@ EngineStats ReconstructionEngine::stats() const {
       model_stats.cache_hits = cache.hits;
       model_stats.cache_misses = cache.misses;
       model_stats.cache_full_mask_batches = cache.full_mask_batches;
-      model_stats.factor_downdates = cache.downdates;
       model_stats.factor_refactors = cache.refactors;
       // Backend identity and memory gauges, read off the same registered
       // version the counters came from.

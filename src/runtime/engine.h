@@ -160,7 +160,9 @@ struct ModelStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_full_mask_batches = 0;
-  std::uint64_t factor_downdates = 0;
+  /// Kept only so the frozen serving ledger (perfbench/serve.cpp) still
+  /// compiles; always 0, never on the wire.
+  static constexpr std::uint64_t factor_downdates = 0;
   std::uint64_t factor_refactors = 0;
   /// Heap allocations the serving path made for this model's frames and
   /// batches: buffer-pool misses (ingest and output) plus per-worker
@@ -192,8 +194,8 @@ struct ModelStats {
   /// fp32 operator + bias bytes, held on top of the fp64 V_k^T; nonzero
   /// only for the fp32 backend.
   std::uint64_t fp32_expansion_bytes = 0;
-  /// Resident bytes of the model's FactorCache: downdate seed R plus every
-  /// cached per-mask factor.
+  /// Resident bytes of the model's FactorCache: every cached per-mask
+  /// factor.
   std::uint64_t factor_cache_bytes = 0;
   /// fp32: expansion error measured against the fp64 operator at model
   /// construction (what the registry's publish gate enforced).

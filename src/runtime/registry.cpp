@@ -104,8 +104,6 @@ core::FactorCacheOptions ModelRegistry::default_cache_options() {
   options.condition_ceiling =
       support::env_double_or("EIGENMAPS_CONDITION_CEILING",
                              options.condition_ceiling, 1.0, 1e300);
-  options.downdate_limit = support::env_size_or("EIGENMAPS_DOWNDATE_LIMIT",
-                                                options.downdate_limit, 0);
   return options;
 }
 

@@ -78,8 +78,7 @@ class ModelRegistry {
   std::size_t size() const;
 
   /// FactorCacheOptions with environment overrides applied:
-  /// EIGENMAPS_FACTOR_CACHE_CAPACITY, EIGENMAPS_CONDITION_CEILING,
-  /// EIGENMAPS_DOWNDATE_LIMIT.
+  /// EIGENMAPS_FACTOR_CACHE_CAPACITY, EIGENMAPS_CONDITION_CEILING.
   static core::FactorCacheOptions default_cache_options();
 
  private:

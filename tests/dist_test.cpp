@@ -179,6 +179,40 @@ TEST(DistProtocol, OverflowingLengthFieldsThrowInsteadOfAllocating) {
     dist::WireReader reader(wire, sizeof(wire));
     EXPECT_THROW(reader.bitmask(), dist::ProtocolError) << width;
   }
+
+  // A model frame's sensor count sizes no allocation before it is bounded
+  // by the bytes present: 32 bytes (id, order, count, one sensor) claiming
+  // 2^61 / 2^40 / 2^27 sensors.
+  std::vector<std::uint8_t> frame;
+  for (const std::uint64_t sensors :
+       {std::uint64_t{1} << 61, std::uint64_t{1} << 40,
+        std::uint64_t{1} << 27}) {
+    dist::WireWriter w(frame);
+    w.u64(1);
+    w.u64(4);
+    w.u64(sensors);
+    w.u64(0);
+    EXPECT_THROW(dist::decode_register_model(frame.data(), frame.size()),
+                 dist::ProtocolError)
+        << sensors;
+  }
+
+  // rows * cols wraps: 32 x (2^59 + 1) is 32 mod 2^64, so 32 subspace
+  // doubles must not pass for that matrix.
+  const std::uint64_t order = (std::uint64_t{1} << 59) + 1;
+  const std::vector<double> values(32, 1.0);
+  dist::WireWriter w(frame);
+  w.u64(1);
+  w.u64(order);
+  w.u64(0);  // no sensors
+  w.doubles(values.data(), values.size());  // mean map: 32 cells
+  w.u64(32);
+  w.u64(order);
+  w.doubles(values.data(), values.size());  // subspace: 32 doubles
+  w.u8(0);
+  w.f64(1e-4);
+  EXPECT_THROW(dist::decode_register_model(frame.data(), frame.size()),
+               dist::ProtocolError);
 }
 
 TEST(DistProtocol, ResultDescriptorDecodeIsTotal) {

@@ -1,7 +1,9 @@
-// FactorCache: mask-keyed factors match from-scratch reconstruction on the
-// surviving sensors, the LRU stays bounded, and the per-mask rank guard and
-// condition ceiling fire.
+// FactorCache: mask-keyed factors match a from-scratch model on the
+// surviving sensors bit for bit, the LRU stays bounded, and the per-mask
+// rank guard and condition ceiling fire.
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -63,21 +65,32 @@ struct CacheFixture {
     return out;
   }
 
-  /// A from-scratch Reconstructor on the mask's surviving sensors, plus
-  /// the compacted readings — the ground truth the masked path must match.
-  numerics::Matrix from_scratch(const numerics::Matrix& readings,
-                                const core::SensorBitmask& mask) const {
-    const std::vector<std::size_t> slots = mask.active_slots();
+  /// A from-scratch Reconstructor on the mask's surviving sensors — the
+  /// ground truth the masked path must match.
+  core::Reconstructor survivors(const core::SensorBitmask& mask) const {
     core::SensorLocations surviving;
-    for (const std::size_t s : slots) surviving.push_back(sensors[s]);
-    const core::Reconstructor fresh(basis, 8, surviving, mean);
-    numerics::Matrix compact(readings.rows(), slots.size());
+    for (const std::size_t s : mask.active_slots()) {
+      surviving.push_back(sensors[s]);
+    }
+    return core::Reconstructor(basis, 8, surviving, mean);
+  }
+
+  /// `readings` without the mask's dead slots: what survivors(mask) reads.
+  static numerics::Matrix compact(const numerics::Matrix& readings,
+                                  const core::SensorBitmask& mask) {
+    const std::vector<std::size_t> slots = mask.active_slots();
+    numerics::Matrix out(readings.rows(), slots.size());
     for (std::size_t f = 0; f < readings.rows(); ++f) {
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        compact(f, i) = readings(f, slots[i]);
+        out(f, i) = readings(f, slots[i]);
       }
     }
-    return fresh.reconstruct_batch(compact);
+    return out;
+  }
+
+  numerics::Matrix from_scratch(const numerics::Matrix& readings,
+                                const core::SensorBitmask& mask) const {
+    return survivors(mask).reconstruct_batch(compact(readings, mask));
   }
 
   core::DctBasis basis;
@@ -112,19 +125,17 @@ TEST(FactorCache, FullMaskIsBitIdenticalToTheModelPath) {
   EXPECT_EQ(cache.stats().misses, 0u);
 }
 
-TEST(FactorCache, DowndatedPathMatchesFromScratchReconstruction) {
+TEST(FactorCache, RefactoredPathMatchesFromScratchReconstruction) {
   const CacheFixture fx;
-  core::FactorCacheOptions options;
-  options.downdate_limit = 4;  // 3 drops below the limit: Givens downdates
-  core::FactorCache cache(fx.rec.model(), options);
+  core::FactorCache cache(fx.rec.model());
 
-  numerics::Matrix readings = fx.frames(6, 2);
+  numerics::Matrix readings = fx.frames(6, 3);
   const core::SensorBitmask mask =
-      core::SensorBitmask::except(fx.sensors.size(), {2, 7, 11});
+      core::SensorBitmask::except(fx.sensors.size(), {0, 5, 13});
   const numerics::Matrix expect = fx.from_scratch(readings, mask);
   // Garbage in the dead slots must not leak into the estimate.
   for (std::size_t f = 0; f < readings.rows(); ++f) {
-    readings(f, 2) = readings(f, 7) = readings(f, 11) = 1e9;
+    readings(f, 0) = readings(f, 5) = readings(f, 13) = 1e9;
   }
   const numerics::Matrix got = cache.reconstruct_batch(readings, mask);
 
@@ -135,35 +146,49 @@ TEST(FactorCache, DowndatedPathMatchesFromScratchReconstruction) {
       EXPECT_NEAR(got(f, i), expect(f, i), 1e-10);
     }
   }
-  const core::FactorCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.downdates, 1u);
-  EXPECT_EQ(stats.refactors, 0u);
-  EXPECT_EQ(cache.factor(mask)->method(),
-            core::MaskedFactor::Method::kDowndated);
-}
-
-TEST(FactorCache, RefactoredPathMatchesFromScratchReconstruction) {
-  const CacheFixture fx;
-  core::FactorCacheOptions options;
-  options.downdate_limit = 1;  // 3 drops past the limit: refactorization
-  core::FactorCache cache(fx.rec.model(), options);
-
-  const numerics::Matrix readings = fx.frames(6, 3);
-  const core::SensorBitmask mask =
-      core::SensorBitmask::except(fx.sensors.size(), {0, 5, 13});
-  const numerics::Matrix expect = fx.from_scratch(readings, mask);
-  const numerics::Matrix got = cache.reconstruct_batch(readings, mask);
-
-  for (std::size_t f = 0; f < got.rows(); ++f) {
-    for (std::size_t i = 0; i < got.cols(); ++i) {
-      EXPECT_NEAR(got(f, i), expect(f, i), 1e-10);
-    }
-  }
-  const core::FactorCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.refactors, 1u);
-  EXPECT_EQ(stats.downdates, 0u);
+  EXPECT_EQ(cache.stats().refactors, 1u);
   EXPECT_EQ(cache.factor(mask)->method(),
             core::MaskedFactor::Method::kRefactored);
+}
+
+/// The masked path runs exactly what a ReconstructionModel built on the
+/// survivors runs (rank guard, QR, solve, expansion), so its maps and its
+/// condition number are that model's to the last bit, at every dropout
+/// depth.
+TEST(FactorCache, MaskedPathMatchesFromScratchModelBitForBit) {
+  const CacheFixture fx;
+  core::FactorCache cache(fx.rec.model());
+  const numerics::Matrix readings = fx.frames(32, 8);
+  numerics::Rng rng(9);
+
+  for (std::size_t dead = 1; dead <= 6; ++dead) {
+    for (int draw = 0; draw < 4; ++draw) {
+      std::vector<std::size_t> dropped;
+      while (dropped.size() < dead) {
+        const std::size_t slot =
+            static_cast<std::size_t>(rng.next_u64() % fx.sensors.size());
+        if (std::find(dropped.begin(), dropped.end(), slot) ==
+            dropped.end()) {
+          dropped.push_back(slot);
+        }
+      }
+      const core::SensorBitmask mask =
+          core::SensorBitmask::except(fx.sensors.size(), dropped);
+      SCOPED_TRACE(::testing::Message() << dead << " dead, draw " << draw);
+
+      const core::Reconstructor fresh = fx.survivors(mask);
+      const numerics::Matrix expect =
+          fresh.reconstruct_batch(CacheFixture::compact(readings, mask));
+      const numerics::Matrix got = cache.reconstruct_batch(readings, mask);
+
+      ASSERT_EQ(got.rows(), expect.rows());
+      ASSERT_EQ(got.cols(), expect.cols());
+      EXPECT_EQ(std::memcmp(got.storage().data(), expect.storage().data(),
+                            got.storage().size() * sizeof(double)),
+                0);
+      EXPECT_EQ(cache.factor(mask)->condition(), fresh.condition_number());
+    }
+  }
 }
 
 TEST(FactorCache, CountsHitsAndMissesPerMask) {

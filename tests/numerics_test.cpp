@@ -305,130 +305,6 @@ TEST(Svd, ConditionNumberOfOrthonormalColumnsIsOne) {
   EXPECT_NEAR(numerics::condition_number(q), 1.0, 1e-8);
 }
 
-numerics::Matrix drop_row(const numerics::Matrix& a, std::size_t row) {
-  numerics::Matrix out(a.rows() - 1, a.cols());
-  for (std::size_t i = 0, o = 0; i < a.rows(); ++i) {
-    if (i == row) continue;
-    for (std::size_t j = 0; j < a.cols(); ++j) out(o, j) = a(i, j);
-    ++o;
-  }
-  return out;
-}
-
-TEST(QrDowndate, DowndatedRFactorsTheSurvivingRows) {
-  const numerics::Matrix a = random_matrix(12, 5, 21);
-  numerics::Matrix r = numerics::HouseholderQr(a).r();
-  const std::size_t deleted = 7;
-  ASSERT_TRUE(numerics::downdate_r_row(r, a.row_data(deleted)));
-
-  // R'^T R' must equal the Gram matrix of the surviving rows...
-  const numerics::Matrix survivors = drop_row(a, deleted);
-  const numerics::Matrix expect = numerics::gram(survivors);
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k <= std::min(i, j); ++k) s += r(k, i) * r(k, j);
-      EXPECT_NEAR(s, expect(i, j), 1e-10);
-    }
-  }
-  // ...and match a from-scratch refactorization up to row signs.
-  const numerics::Matrix fresh = numerics::HouseholderQr(survivors).r();
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (std::size_t j = i; j < 5; ++j) {
-      EXPECT_NEAR(std::abs(r(i, j)), std::abs(fresh(i, j)), 1e-10);
-    }
-  }
-}
-
-TEST(QrDowndate, ChainedDowndatesStayConsistent) {
-  const numerics::Matrix a = random_matrix(10, 4, 33);
-  numerics::Matrix r = numerics::HouseholderQr(a).r();
-  // Delete rows 8 then 2; chain the downdates.
-  ASSERT_TRUE(numerics::downdate_r_row(r, a.row_data(8)));
-  ASSERT_TRUE(numerics::downdate_r_row(r, a.row_data(2)));
-  const numerics::Matrix survivors = drop_row(drop_row(a, 8), 2);
-  const numerics::Matrix expect = numerics::gram(survivors);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k <= std::min(i, j); ++k) s += r(k, i) * r(k, j);
-      EXPECT_NEAR(s, expect(i, j), 1e-10);
-    }
-  }
-}
-
-TEST(QrDowndate, DetectsRankLoss) {
-  // Rows e1, e2, e3, e1+e2: deleting the only e3 row kills the third
-  // direction, and that row's leverage is exactly 1.
-  numerics::Matrix a(4, 3);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;
-  a(2, 2) = 1.0;
-  a(3, 0) = 1.0;
-  a(3, 1) = 1.0;
-  numerics::Matrix r = numerics::HouseholderQr(a).r();
-  EXPECT_FALSE(numerics::downdate_r_row(r, a.row_data(2)));
-  // Deleting a redundant row is fine.
-  r = numerics::HouseholderQr(a).r();
-  EXPECT_TRUE(numerics::downdate_r_row(r, a.row_data(3)));
-}
-
-TEST(QrDowndate, TriangularConditionEstimate) {
-  numerics::Matrix eye(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) eye(i, i) = 1.0;
-  EXPECT_NEAR(numerics::triangular_condition_1(eye), 1.0, 1e-12);
-
-  numerics::Matrix scaled(eye);
-  scaled(3, 3) = 1e-3;  // diagonal: 1-norm condition is the diagonal ratio
-  EXPECT_NEAR(numerics::triangular_condition_1(scaled), 1e3, 1e-6);
-
-  scaled(3, 3) = 0.0;
-  EXPECT_TRUE(std::isinf(numerics::triangular_condition_1(scaled)));
-}
-
-TEST(SeminormalSolver, MatchesHouseholderQrSolutions) {
-  const numerics::Matrix a = random_matrix(10, 4, 55);
-  const numerics::HouseholderQr qr(a);
-  const numerics::SeminormalSolver sne(qr.r(), a);
-
-  numerics::Rng rng(56);
-  const numerics::Vector b = rng.normal_vector(10);
-  const numerics::Vector x_qr = qr.solve(b);
-  const numerics::Vector x_sne = sne.solve(b);
-  ASSERT_EQ(x_sne.size(), x_qr.size());
-  for (std::size_t j = 0; j < x_qr.size(); ++j) {
-    EXPECT_NEAR(x_sne[j], x_qr[j], 1e-12);
-  }
-
-  const numerics::Matrix rhs = random_matrix(6, 10, 57);
-  const numerics::Matrix batch_qr = qr.solve_batch(rhs);
-  const numerics::Matrix batch_sne = sne.solve_batch(rhs);
-  for (std::size_t f = 0; f < 6; ++f) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_NEAR(batch_sne(f, j), batch_qr(f, j), 1e-12);
-    }
-  }
-}
-
-TEST(SeminormalSolver, SolvesAgainstADowndatedFactor) {
-  // The intended composition: downdate R after a row deletion, then solve
-  // least squares on the survivors through the seminormal equations.
-  const numerics::Matrix a = random_matrix(14, 5, 71);
-  numerics::Matrix r = numerics::HouseholderQr(a).r();
-  const std::size_t deleted = 4;
-  ASSERT_TRUE(numerics::downdate_r_row(r, a.row_data(deleted)));
-  const numerics::Matrix survivors = drop_row(a, deleted);
-  const numerics::SeminormalSolver sne(std::move(r), survivors);
-
-  numerics::Rng rng(72);
-  const numerics::Vector b = rng.normal_vector(13);
-  const numerics::Vector expect = numerics::HouseholderQr(survivors).solve(b);
-  const numerics::Vector got = sne.solve(b);
-  for (std::size_t j = 0; j < expect.size(); ++j) {
-    EXPECT_NEAR(got[j], expect[j], 1e-11);
-  }
-}
-
 TEST(Rng, MomentsAreSane) {
   numerics::Rng rng(123);
   double mean = 0.0, var = 0.0;

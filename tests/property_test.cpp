@@ -63,101 +63,6 @@ TEST(PropertySymmetricEigen, EigenpairsSatisfyTheDefinition) {
   }
 }
 
-// Rows of an upper-triangular factor sign-normalised so the diagonal is
-// non-negative: R factors of one full-rank matrix agree up to row signs,
-// so canonicalising both sides makes them entrywise comparable.
-numerics::Matrix canonical_r(const numerics::Matrix& r) {
-  numerics::Matrix out = r;
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    if (out(i, i) < 0.0) {
-      for (std::size_t j = i; j < out.cols(); ++j) out(i, j) = -out(i, j);
-    }
-  }
-  return out;
-}
-
-numerics::Matrix gram_of_r(const numerics::Matrix& r) {
-  return numerics::gram(r);  // R^T R
-}
-
-TEST(PropertyQrRowUpdate, UpdateThenDowndateRoundTripsToTheOriginalR) {
-  for (int draw = 0; draw < kDraws; ++draw) {
-    const std::uint64_t seed = 3000 + static_cast<std::uint64_t>(draw);
-    const std::size_t n = 2 + static_cast<std::size_t>(draw % 7);
-    const std::size_t m = n + 1 + static_cast<std::size_t>(draw % 9);
-    const numerics::Matrix a = random_matrix(m, n, seed);
-    const numerics::Matrix r0 = numerics::HouseholderQr(a).r();
-    const numerics::Matrix row = random_matrix(1, n, seed + 7777);
-
-    numerics::Matrix r = r0;
-    numerics::update_r_row(r, row.row_data(0));
-    // The update must leave a genuine upper-triangular Cholesky-like
-    // factor: R'^T R' = R^T R + row row^T.
-    const numerics::Matrix gram0 = gram_of_r(r0);
-    const numerics::Matrix gram1 = gram_of_r(r);
-    double scale = 1e-30;
-    for (const double v : gram1.storage()) scale = std::max(scale, std::fabs(v));
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        EXPECT_NEAR(gram1(i, j), gram0(i, j) + row(0, i) * row(0, j),
-                    1e-12 * scale)
-            << "draw " << draw;
-      }
-    }
-
-    ASSERT_TRUE(numerics::downdate_r_row(r, row.row_data(0)))
-        << "draw " << draw << ": downdating a just-added row cannot lose rank";
-    // Round trip recovers the original factor up to row signs.
-    const numerics::Matrix back = canonical_r(r);
-    const numerics::Matrix expect = canonical_r(r0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        EXPECT_NEAR(back(i, j), expect(i, j),
-                    1e-9 * (1.0 + std::fabs(expect(i, j))))
-            << "draw " << draw << " (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
-TEST(PropertyQrRowUpdate, UpdatedFactorMatchesFromScratchRefactorization) {
-  for (int draw = 0; draw < kDraws; ++draw) {
-    const std::uint64_t seed = 4000 + static_cast<std::uint64_t>(draw);
-    const std::size_t n = 2 + static_cast<std::size_t>(draw % 6);
-    const std::size_t m = n + static_cast<std::size_t>(draw % 10);
-    const numerics::Matrix a = random_matrix(m, n, seed);
-    const std::size_t appended = 1 + static_cast<std::size_t>(draw % 3);
-    const numerics::Matrix extra = random_matrix(appended, n, seed + 555);
-
-    // Incremental: start from R of A, push the appended rows one by one.
-    numerics::Matrix r = numerics::HouseholderQr(a).r();
-    numerics::Vector scratch(n);
-    for (std::size_t e = 0; e < appended; ++e) {
-      numerics::update_r_row(r.view(), extra.row_data(e), scratch);
-    }
-
-    // From scratch: QR of the stacked matrix [A; extra].
-    numerics::Matrix stacked(m + appended, n);
-    for (std::size_t i = 0; i < m; ++i) {
-      stacked.set_row(i, a.row_view(i));
-    }
-    for (std::size_t e = 0; e < appended; ++e) {
-      stacked.set_row(m + e, extra.row_view(e));
-    }
-    const numerics::Matrix fresh =
-        canonical_r(numerics::HouseholderQr(stacked).r());
-
-    const numerics::Matrix updated = canonical_r(r);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        EXPECT_NEAR(updated(i, j), fresh(i, j),
-                    1e-10 * (1.0 + std::fabs(fresh(i, j))))
-            << "draw " << draw << " (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
 TEST(PropertyQr, ReproducesTheMatrixWithTriangularR) {
   for (int draw = 0; draw < kDraws; ++draw) {
     const std::uint64_t seed = 2000 + static_cast<std::uint64_t>(draw);

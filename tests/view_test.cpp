@@ -169,7 +169,7 @@ TEST(Views, StridedQrSolveBatchBitIdenticalToContiguous) {
 /// column counts off the 8/16/32-lane boundaries, row counts off the
 /// 2/8-row tiles, and stride > cols throughout. Each tier must stay within
 /// the contraction ULP bound of the contraction-free reference. Gram,
-/// matvec, QR and the downdate have no per-tier code to compare.
+/// matvec and QR have no per-tier code to compare.
 TEST(Views, SimdTiersMatchPortableAcrossTileEdges) {
   struct GemmShape {
     std::size_t m, k, n;
@@ -317,12 +317,6 @@ TEST(Views, SizeMismatchedIntoOutputsThrow) {
   numerics::Matrix rhs_rows(2, 6), x_rows_bad(3, 3);
   EXPECT_THROW(qr.solve_batch_into(rhs_rows, x_rows_bad.view(), scratch),
                std::invalid_argument);
-
-  numerics::Matrix r = qr.r();
-  numerics::Vector small_scratch(2);
-  EXPECT_THROW(
-      numerics::downdate_r_row(r.view(), rhs.data(), small_scratch),
-      std::invalid_argument);
 
   const core::DctBasis basis(8, 8, 4);
   const core::SensorLocations sensors = core::allocate_greedy(basis, 4, 8);

@@ -18,7 +18,6 @@
 #include "core/workspace.h"
 #include "numerics/blas.h"
 #include "numerics/isa.h"
-#include "numerics/qr.h"
 #include "numerics/rng.h"
 #include "obs/trace.h"
 #include "runtime/engine.h"
@@ -144,7 +143,7 @@ TEST(ZeroAlloc, SimdKernelsHeapFreeOnEveryTier) {
   numerics::set_blas_threads(1);  // keep parallel_ranges from spawning
   const std::size_t m = 19, k = 13, n = 21;
   numerics::Rng rng(17);
-  numerics::Matrix a(m, k), b(k, n), c(m, n), g(k, k), r0(k, k), r(k, k);
+  numerics::Matrix a(m, k), b(k, n), c(m, n), g(k, k);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < k; ++j) a(i, j) = rng.normal();
   }
@@ -154,12 +153,7 @@ TEST(ZeroAlloc, SimdKernelsHeapFreeOnEveryTier) {
   const numerics::Vector bias = rng.normal_vector(n);
   const numerics::Vector x = rng.normal_vector(k);
   const numerics::Vector xt = rng.normal_vector(m);
-  numerics::Vector y(m), yt(k), scratch(3 * k);
-  {
-    const numerics::HouseholderQr qr(a);
-    const numerics::Matrix full_r = qr.r();
-    for (std::size_t i = 0; i < k; ++i) r0.set_row(i, full_r.row_view(i));
-  }
+  numerics::Vector y(m), yt(k);
 
   for (const numerics::Isa isa : numerics::runnable_isas()) {
     SCOPED_TRACE(numerics::isa_name(isa));
@@ -171,8 +165,6 @@ TEST(ZeroAlloc, SimdKernelsHeapFreeOnEveryTier) {
       numerics::gram_into(a.view(), g.view());
       numerics::matvec_into(a.view(), x, y);
       numerics::matvec_transpose_into(a.view(), xt, yt);
-      for (std::size_t i = 0; i < k; ++i) r.set_row(i, r0.row_view(i));
-      numerics::downdate_r_row(r.view(), a.row_data(0), scratch);
     };
     all_kernels();  // warm
     const std::uint64_t before = testhook::allocation_count();
