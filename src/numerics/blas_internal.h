@@ -13,8 +13,10 @@
 
 // Runtime ISA dispatch for the hot kernels: the linker picks the widest
 // clone the CPU supports (ifunc), so one binary runs everywhere and still
-// uses AVX2/AVX-512 where present.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// uses AVX2/AVX-512 where present. Not under -fsanitize=thread (gcc's
+// __SANITIZE_THREAD__): ifunc resolvers run before the TSan runtime.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define EIGENMAPS_KERNEL_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))
 #else

@@ -31,16 +31,6 @@ const core::SensorBitmask& canonical_mask(const core::SensorBitmask& mask) {
 
 }  // namespace
 
-// Stack-resident completion handshake of submit_wait: the producer blocks
-// on `cv` while the worker moves the result in — no promise shared state,
-// no heap.
-struct ReconstructionEngine::OneShotWaiter {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  PooledMaps result;
-};
-
 struct ReconstructionEngine::Job {
   // The batch's frames, row-major frame_count x width in a pooled buffer
   // (only the first frame_count rows are meaningful; short batches leave
@@ -48,24 +38,12 @@ struct ReconstructionEngine::Job {
   numerics::Vector frames;
   std::size_t frame_count = 0;
   std::size_t width = 0;
-  // Whether `frames` came out of the engine's pool (streaming ingest,
-  // submit_wait) and so goes back to it on completion. Storage adopted
-  // from a submit(Matrix) caller is dropped instead: the one-shot path
-  // never re-acquires input-sized buffers, so pooling them would grow the
-  // free list by one per submit without bound.
-  bool pooled_input = false;
   Clock::time_point enqueued_at;
   // Model binding: the registered version current when the batch started,
   // and the active-sensor mask its frames were produced under.
   std::shared_ptr<const RegisteredModel> entry;
   core::SensorBitmask mask;
-  // One-shot paths; at most one is set. The promise is in optional<> so
-  // streaming jobs never pay its shared-state allocation; the waiter is a
-  // borrowed pointer into submit_wait's stack frame.
-  std::optional<std::promise<PooledMaps>> promise;
-  OneShotWaiter* waiter = nullptr;
-  bool one_shot() const { return promise.has_value() || waiter != nullptr; }
-  // Streaming path.
+  // The stream the batch was cut from and its first frame's sequence number.
   std::uint64_t stream = 0;
   std::uint64_t first_seq = 0;
   // Trace identity of the batch (DESIGN.md §15): whether its frames are
@@ -94,10 +72,6 @@ struct ReconstructionEngine::StreamState {
   ModelId model = kDefaultModel;
   core::SensorBitmask mask;
   std::shared_ptr<const RegisteredModel> entry;
-  // Set (under ingest_mutex) when retire_idle_streams() unlinks the state;
-  // a producer that raced the retire re-resolves a fresh state instead of
-  // writing into the orphan.
-  bool retired = false;
   // Trace identity of the pending batch, set by its first frame (every
   // batch's first frame takes the rebind branch) and moved into the job at
   // cut().
@@ -119,12 +93,11 @@ struct ReconstructionEngine::StreamState {
   };
   std::vector<Ready> ready;
 
-  /// Moves the pending frames (buffer and all) into a streaming job. Call
-  /// under ingest_mutex with pending_frames > 0.
+  /// Moves the pending frames (buffer and all) into a job. Call under
+  /// ingest_mutex with pending_frames > 0.
   Job cut(std::uint64_t stream_id) {
     Job job;
     job.frames = std::move(pending);
-    job.pooled_input = true;
     job.frame_count = pending_frames;
     job.width = width;
     job.entry = entry;
@@ -205,8 +178,7 @@ ReconstructionEngine::ReconstructionEngine(
     : owned_registry_(std::move(owned_registry)),
       registry_(owned_registry_ ? owned_registry_.get() : registry),
       options_(options),
-      on_result_(std::move(on_result)),
-      pool_(std::make_shared<BufferPool>()) {
+      on_result_(std::move(on_result)) {
   if (options_.batch_size == 0) {
     throw std::invalid_argument("ReconstructionEngine: batch_size must be > 0");
   }
@@ -260,7 +232,7 @@ void ReconstructionEngine::on_registry_swap(const RegisteredModel& entry) {
     std::lock_guard<std::mutex> streams_lock(streams_mutex_);
     for (const auto& [id, state] : streams_) {
       std::lock_guard<std::mutex> ingest(state->ingest_mutex);
-      if (state->retired || state->model != entry.id) continue;
+      if (state->model != entry.id) continue;
       if (state->mask.size() == 0) continue;  // full-sensor path, no factor
       masks.push_back(state->mask);
     }
@@ -299,12 +271,12 @@ std::shared_ptr<const RegisteredModel> ReconstructionEngine::bind(
   return entry;
 }
 
-std::shared_ptr<ReconstructionEngine::StreamState>
-ReconstructionEngine::stream_state(std::uint64_t stream) {
+ReconstructionEngine::StreamState& ReconstructionEngine::stream_state(
+    std::uint64_t stream) {
   std::lock_guard<std::mutex> lock(streams_mutex_);
-  std::shared_ptr<StreamState>& slot = streams_[stream];
-  if (!slot) slot = std::make_shared<StreamState>();
-  return slot;
+  std::unique_ptr<StreamState>& slot = streams_[stream];
+  if (!slot) slot = std::make_unique<StreamState>();
+  return *slot;
 }
 
 void ReconstructionEngine::count_serving_allocations(ModelId model,
@@ -320,88 +292,15 @@ void ReconstructionEngine::enqueue(Job job) {
     ++jobs_in_flight_;
   }
   job.enqueued_at = Clock::now();
-  OneShotWaiter* waiter = job.waiter;  // survives the move below
   if (!queue_->push(std::move(job))) {
     // Closed engine: only reachable from a producer racing the destructor,
-    // which the ownership contract forbids; account the job as gone. A
-    // dropped promise surfaces as broken_promise on its own; a stack
-    // waiter must be released explicitly (empty result) or its
-    // submit_wait caller would block forever.
+    // which the ownership contract forbids; account the job as gone.
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       --jobs_in_flight_;
     }
     idle_.notify_all();
-    if (waiter != nullptr) {
-      std::lock_guard<std::mutex> lock(waiter->mutex);
-      waiter->done = true;
-      waiter->cv.notify_one();
-    }
   }
-}
-
-ReconstructionEngine::Job ReconstructionEngine::make_one_shot_job(
-    numerics::Vector frames, std::size_t frame_count, std::size_t width,
-    ModelId model, const core::SensorBitmask& mask) {
-  Job job;
-  job.entry = bind(model, mask);
-  if (width != job.entry->model->sensor_count()) {
-    throw std::invalid_argument(
-        "ReconstructionEngine::submit: frame width != model sensor count");
-  }
-  job.frame_count = frame_count;
-  job.width = width;
-  job.frames = std::move(frames);
-  job.mask = canonical_mask(mask);
-  frames_submitted_.fetch_add(job.frame_count, std::memory_order_relaxed);
-  return job;
-}
-
-std::future<PooledMaps> ReconstructionEngine::submit(
-    numerics::Matrix frames, ModelId model, const core::SensorBitmask& mask) {
-  const std::size_t frame_count = frames.rows();
-  const std::size_t width = frames.cols();
-  Job job = make_one_shot_job(std::move(frames.storage()), frame_count,
-                              width, model, mask);
-  job.promise.emplace();
-  std::future<PooledMaps> result = job.promise->get_future();
-  enqueue(std::move(job));
-  return result;
-}
-
-PooledMaps ReconstructionEngine::submit_wait(numerics::ConstMatrixView frames,
-                                             ModelId model,
-                                             const core::SensorBitmask& mask) {
-  {
-    // Pre-validate so a throw leaves the pool undisturbed; the
-    // authoritative (shared) checks run again in make_one_shot_job.
-    // Zero-row batches are accepted, matching submit(): the view still
-    // carries its width, so the check stays meaningful.
-    const std::shared_ptr<const RegisteredModel> entry = bind(model, mask);
-    if (frames.cols() != entry->model->sensor_count()) {
-      throw std::invalid_argument(
-          "ReconstructionEngine::submit_wait: frame width != model sensor "
-          "count");
-    }
-  }
-  bool minted = false;
-  numerics::Vector buffer =
-      pool_->acquire(frames.rows() * frames.cols(), minted);
-  if (minted) count_serving_allocations(model, 1);
-  for (std::size_t f = 0; f < frames.rows(); ++f) {
-    const double* src = frames.row_data(f);
-    double* dst = buffer.data() + f * frames.cols();
-    for (std::size_t s = 0; s < frames.cols(); ++s) dst[s] = src[s];
-  }
-  Job job = make_one_shot_job(std::move(buffer), frames.rows(),
-                              frames.cols(), model, mask);
-  job.pooled_input = true;
-  OneShotWaiter waiter;
-  job.waiter = &waiter;
-  enqueue(std::move(job));
-  std::unique_lock<std::mutex> lock(waiter.mutex);
-  waiter.cv.wait(lock, [&] { return waiter.done; });
-  return std::move(waiter.result);
 }
 
 std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
@@ -434,12 +333,11 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
                           : push_start_ns;
     frame_seq_base = context.active ? context.seq_base : 0;
   }
-  for (;;) {
-    std::shared_ptr<StreamState> state = stream_state(stream);
-    std::lock_guard<std::mutex> lock(state->ingest_mutex);
-    if (state->retired) continue;  // raced retire_idle_streams(); re-resolve
-    const bool rebind = state->pending_frames == 0 ||
-                        state->model != model || state->mask != canon;
+  {
+    StreamState& state = stream_state(stream);
+    std::lock_guard<std::mutex> lock(state.ingest_mutex);
+    const bool rebind = state.pending_frames == 0 ||
+                        state.model != model || state.mask != canon;
     if (rebind) {
       // A new batch starts under a fresh binding: resolve the registry's
       // *current* version and validate mask and frame eagerly — throws
@@ -450,37 +348,36 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
             "ReconstructionEngine::push_frame: frame size != model sensor "
             "count");
       }
-      if (state->pending_frames > 0) {
+      if (state.pending_frames > 0) {
         // Binding changed mid-batch: cut what is pending under the old
         // binding so every job stays homogeneous.
-        cut_jobs[cut_count++] = state->cut(stream);
+        cut_jobs[cut_count++] = state.cut(stream);
       }
-      state->entry = std::move(entry);
-      state->model = model;
-      state->mask = canon;
-      state->width = state->entry->model->sensor_count();
-      state->batch_first_seq = state->next_seq;
+      state.entry = std::move(entry);
+      state.model = model;
+      state.mask = canon;
+      state.width = state.entry->model->sensor_count();
+      state.batch_first_seq = state.next_seq;
       // Every batch's first frame lands here, so the batch trace identity
       // is always this frame's (and cleanly false when tracing is off).
-      state->batch_traced = frame_traced;
-      state->batch_origin_ns = frame_origin_ns;
-      state->batch_seq_base = frame_seq_base;
-      state->batch_first_push_ns = push_start_ns;
+      state.batch_traced = frame_traced;
+      state.batch_origin_ns = frame_origin_ns;
+      state.batch_seq_base = frame_seq_base;
+      state.batch_first_push_ns = push_start_ns;
       // A fresh batch needs a buffer — `pending` is always empty here (it
       // left with the previous cut(), including the mid-batch cut above).
       // Pool recycling makes this allocation-free once the engine is warm.
       bool minted = false;
-      state->pending =
-          pool_->acquire(options_.batch_size * state->width, minted);
+      state.pending = pool_.acquire(options_.batch_size * state.width, minted);
       if (minted) count_serving_allocations(model, 1);
     } else {
-      if (frame.size() != state->entry->model->sensor_count()) {
+      if (frame.size() != state.entry->model->sensor_count()) {
         throw std::invalid_argument(
             "ReconstructionEngine::push_frame: frame size != model sensor "
             "count");
       }
       if (mask.size() != 0 &&
-          mask.size() != state->entry->model->sensor_count()) {
+          mask.size() != state.entry->model->sensor_count()) {
         // A wrong-width all-active mask canonicalises to "no dropout" and
         // so compares equal to the live binding; it is still malformed and
         // must fail mid-batch exactly as it does at a batch boundary.
@@ -492,10 +389,10 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
     // Submission is counted at ingestion, not at batch-cut time, so
     // `submitted - completed` reflects the true backlog mid-batch.
     frames_submitted_.fetch_add(1, std::memory_order_relaxed);
-    seq = state->next_seq++;
-    double* dst = state->pending.data() + state->pending_frames * state->width;
-    for (std::size_t s = 0; s < state->width; ++s) dst[s] = frame[s];
-    ++state->pending_frames;
+    seq = state.next_seq++;
+    double* dst = state.pending.data() + state.pending_frames * state.width;
+    for (std::size_t s = 0; s < state.width; ++s) dst[s] = frame[s];
+    ++state.pending_frames;
     if (frame_traced) {
       // Per-frame ingest span, origin -> resident in the pending batch:
       // for dist traffic the origin is the router's push, so this span is
@@ -507,10 +404,9 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
       obs::record_span(obs::Stage::kIngest, frame_origin_ns, push_start_ns,
                        stream, frame_seq_base + seq, 1);
     }
-    if (state->pending_frames >= options_.batch_size) {
-      cut_jobs[cut_count++] = state->cut(stream);
+    if (state.pending_frames >= options_.batch_size) {
+      cut_jobs[cut_count++] = state.cut(stream);
     }
-    break;
   }
   // Enqueue outside the ingest lock: a full queue blocks this producer but
   // not the other producers of the stream; delivery order is restored from
@@ -520,15 +416,13 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
 }
 
 void ReconstructionEngine::flush(std::uint64_t stream) {
-  std::shared_ptr<StreamState> state = stream_state(stream);
+  StreamState& state = stream_state(stream);
   Job job;
   bool cut = false;
   {
-    std::lock_guard<std::mutex> lock(state->ingest_mutex);
-    // A retired state necessarily has nothing pending; falling through to
-    // the empty check below is safe.
-    if (state->pending_frames > 0) {
-      job = state->cut(stream);
+    std::lock_guard<std::mutex> lock(state.ingest_mutex);
+    if (state.pending_frames > 0) {
+      job = state.cut(stream);
       cut = true;
     }
   }
@@ -593,29 +487,6 @@ EngineStats ReconstructionEngine::stats() const {
   return out;
 }
 
-std::size_t ReconstructionEngine::retire_idle_streams() {
-  std::lock_guard<std::mutex> streams_lock(streams_mutex_);
-  std::size_t retired = 0;
-  for (auto it = streams_.begin(); it != streams_.end();) {
-    StreamState& state = *it->second;
-    std::lock_guard<std::mutex> ingest(state.ingest_mutex);
-    std::lock_guard<std::mutex> deliver(state.deliver_mutex);
-    const bool idle = state.pending_frames == 0 && state.ready.empty() &&
-                      state.next_deliver_seq == state.next_seq;
-    if (idle) {
-      // The shared_ptr keeps the state alive for any producer that already
-      // resolved it; the flag makes such a producer re-resolve instead of
-      // pushing into the orphan.
-      state.retired = true;
-      it = streams_.erase(it);
-      ++retired;
-    } else {
-      ++it;
-    }
-  }
-  return retired;
-}
-
 void ReconstructionEngine::worker_loop() {
   // Workers parallelise across batches; pin the kernels under them to one
   // thread so BLAS threading cannot nest and oversubscribe the machine.
@@ -648,7 +519,7 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
   // gets the batch's spans when its frames are traced. Lives on this
   // stack frame — nothing on this path allocates for tracing.
   obs::BatchContext ctx;
-  ctx.traced = job.traced && !job.one_shot() && obs::tracing_enabled();
+  ctx.traced = job.traced && obs::tracing_enabled();
   ctx.stream = job.stream;
   ctx.first_seq = job.seq_base + job.first_seq;
   ctx.frames = static_cast<std::uint32_t>(job.frame_count);
@@ -663,11 +534,9 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
   }
   obs::set_batch_context(&ctx);
 
-  // One-shot and streaming results both come out of the pool; the one-shot
-  // buffer leaves custody inside a PooledMaps handle and returns when the
-  // caller drops it.
+  // The result comes out of the pool and goes back once delivered.
   bool minted = false;
-  numerics::Vector maps = pool_->acquire(job.frame_count * cells, minted);
+  numerics::Vector maps = pool_.acquire(job.frame_count * cells, minted);
   if (minted) ++minted_buffers;
   numerics::MatrixView out(maps.data(), job.frame_count, cells, cells);
   job.entry->cache->reconstruct_batch_into(frames, job.mask, out, workspace);
@@ -721,67 +590,50 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
     options_.observer->on_batch(job.entry->id, job.entry->version, job.stream,
                                 *job.entry->model, job.mask, frames, out);
   }
-  // Input goes back to the pool BEFORE the result is handed over: a
-  // one-shot caller may re-submit the instant it wakes, and its next
-  // ingest acquire must find this buffer already home (or the warmed
-  // pool would mint a spare — the zero-allocation test catches exactly
-  // that race).
-  if (job.pooled_input) pool_->release(std::move(job.frames));
-  if (job.one_shot()) {
-    PooledMaps result(pool_, std::move(maps), job.frame_count, cells);
-    if (job.promise) {
-      job.promise->set_value(std::move(result));
-    } else {
-      std::lock_guard<std::mutex> lock(job.waiter->mutex);
-      job.waiter->result = std::move(result);
-      job.waiter->done = true;
-      job.waiter->cv.notify_one();
-    }
-  } else {
-    const std::uint64_t deliver_start_ns = obs::monotonic_ns();
-    deliver(job.stream, job.first_seq, std::move(maps), job.frame_count,
-            cells);
-    const std::uint64_t deliver_end_ns = obs::monotonic_ns();
-    if (ctx.traced) {
-      obs::record_span(obs::Stage::kDeliver, deliver_start_ns, deliver_end_ns,
-                       ctx.stream, ctx.first_seq, ctx.frames);
-    }
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kDeliver)]
-        .record(deliver_end_ns - deliver_start_ns);
+  // Input goes back to the pool before delivery, which may wait on the
+  // stream's deliver lock: producers cutting their next batches meanwhile
+  // find the buffer home.
+  pool_.release(std::move(job.frames));
+  const std::uint64_t deliver_start_ns = obs::monotonic_ns();
+  deliver(job.stream, job.first_seq, std::move(maps), job.frame_count, cells);
+  const std::uint64_t deliver_end_ns = obs::monotonic_ns();
+  if (ctx.traced) {
+    obs::record_span(obs::Stage::kDeliver, deliver_start_ns, deliver_end_ns,
+                     ctx.stream, ctx.first_seq, ctx.frames);
   }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kDeliver)]
+      .record(deliver_end_ns - deliver_start_ns);
 }
 
 void ReconstructionEngine::deliver(std::uint64_t stream,
                                    std::uint64_t first_seq,
                                    numerics::Vector maps, std::size_t frames,
                                    std::size_t width) {
-  // An in-flight batch keeps next_deliver_seq < next_seq, so the stream
-  // cannot have been retired: this resolves the same live state.
-  std::shared_ptr<StreamState> state = stream_state(stream);
+  StreamState& state = stream_state(stream);
   // The lock is held across the callback so per-stream delivery order is
   // the sequence order even when another worker completes the next batch
   // mid-callback. Callbacks must therefore not call back into the engine.
-  std::lock_guard<std::mutex> lock(state->deliver_mutex);
-  auto pos = state->ready.begin();
-  while (pos != state->ready.end() && pos->first_seq < first_seq) ++pos;
+  std::lock_guard<std::mutex> lock(state.deliver_mutex);
+  auto pos = state.ready.begin();
+  while (pos != state.ready.end() && pos->first_seq < first_seq) ++pos;
   StreamState::Ready incoming;
   incoming.first_seq = first_seq;
   incoming.maps = std::move(maps);
   incoming.frames = frames;
   incoming.width = width;
-  state->ready.insert(pos, std::move(incoming));
-  while (!state->ready.empty() &&
-         state->ready.front().first_seq == state->next_deliver_seq) {
-    StreamState::Ready batch = std::move(state->ready.front());
-    state->ready.erase(state->ready.begin());
-    state->next_deliver_seq = batch.first_seq + batch.frames;
+  state.ready.insert(pos, std::move(incoming));
+  while (!state.ready.empty() &&
+         state.ready.front().first_seq == state.next_deliver_seq) {
+    StreamState::Ready batch = std::move(state.ready.front());
+    state.ready.erase(state.ready.begin());
+    state.next_deliver_seq = batch.first_seq + batch.frames;
     if (on_result_) {
       on_result_(stream, batch.first_seq,
                  numerics::ConstMatrixView(batch.maps.data(), batch.frames,
                                            batch.width, batch.width));
     }
-    pool_->release(std::move(batch.maps));
+    pool_.release(std::move(batch.maps));
   }
 }
 

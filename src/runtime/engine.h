@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -80,9 +79,7 @@ struct EngineOptions {
 /// Recycles double buffers (frame batches in, reconstructed maps out).
 /// acquire() resizes a free buffer whose capacity fits — no allocation —
 /// and only mints a new one (reporting it, for the steady-state counters)
-/// when none does. Shared by the engine and the PooledMaps handles it
-/// gives out, which is why it lives behind a shared_ptr: a handle may
-/// outlive the engine, and its buffer must still have somewhere to go.
+/// when none does.
 class BufferPool {
  public:
   /// A buffer with size() == doubles. Sets `minted` when it had to heap-
@@ -93,62 +90,6 @@ class BufferPool {
  private:
   std::mutex mutex_;
   std::vector<numerics::Vector> free_;
-};
-
-/// Owning handle to a one-shot batch result living in a pooled buffer:
-/// rows() x cols() reconstructed maps, readable through view(). The
-/// destructor returns the buffer to the engine's BufferPool, so repeated
-/// warmed submits recycle their result storage instead of allocating —
-/// the close of the last allocating serving path (DESIGN.md §10).
-/// Move-only; to keep the data past the handle, deep-copy via
-/// numerics::Matrix(handle.view()).
-class PooledMaps {
- public:
-  PooledMaps() = default;
-  PooledMaps(PooledMaps&& other) noexcept { swap(other); }
-  PooledMaps& operator=(PooledMaps&& other) noexcept {
-    swap(other);
-    return *this;
-  }
-  PooledMaps(const PooledMaps&) = delete;
-  PooledMaps& operator=(const PooledMaps&) = delete;
-  ~PooledMaps() {
-    if (pool_) pool_->release(std::move(buffer_));
-  }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  bool empty() const { return rows_ == 0 || cols_ == 0; }
-  numerics::ConstMatrixView view() const {
-    return numerics::ConstMatrixView(buffer_.data(), rows_, cols_, cols_);
-  }
-  operator numerics::ConstMatrixView() const {  // NOLINT: implicit by design
-    return view();
-  }
-  const double& operator()(std::size_t i, std::size_t j) const {
-    return buffer_[i * cols_ + j];
-  }
-
- private:
-  friend class ReconstructionEngine;
-  PooledMaps(std::shared_ptr<BufferPool> pool, numerics::Vector buffer,
-             std::size_t rows, std::size_t cols)
-      : pool_(std::move(pool)),
-        buffer_(std::move(buffer)),
-        rows_(rows),
-        cols_(cols) {}
-
-  void swap(PooledMaps& other) noexcept {
-    std::swap(pool_, other.pool_);
-    std::swap(buffer_, other.buffer_);
-    std::swap(rows_, other.rows_);
-    std::swap(cols_, other.cols_);
-  }
-
-  std::shared_ptr<BufferPool> pool_;
-  numerics::Vector buffer_;
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
 };
 
 /// Per-model monotonic counters inside EngineStats. The cache_* and
@@ -310,22 +251,14 @@ struct EngineStats {
 };
 
 /// Drives batches of sensor frames across a worker pool over a bounded
-/// queue. Two front doors:
+/// queue. push_frame(stream, frame, model, mask) is the one front door:
+/// frames accumulate per stream into batch_size batches; completed batches
+/// are handed to the result callback exactly once and in submission order
+/// per stream, even when workers finish them out of order. Frames land in
+/// pooled batch buffers and results in pooled output buffers, so a warmed
+/// stream ingests and delivers without heap allocations.
 ///
-///  - submit(frames, model, mask) / submit_wait(...): one-shot batch. The
-///    result is a PooledMaps handle over a pooled buffer that returns to
-///    the pool on destruction. submit hands it through a std::future
-///    (whose shared state costs one small allocation per call);
-///    submit_wait blocks the caller until the batch completes and is
-///    allocation-free once the pool and workspaces are warm.
-///  - push_frame(stream, frame, model, mask): streaming ingestion. Frames
-///    accumulate per stream into batch_size batches; completed batches are
-///    handed to the result callback exactly once and in submission order
-///    per stream, even when workers finish them out of order. Frames land
-///    in pooled batch buffers and results in pooled output buffers, so a
-///    warmed stream ingests and delivers without heap allocations.
-///
-/// Both carry a model id resolved against the ModelRegistry and an
+/// Each frame carries a model id resolved against the ModelRegistry and an
 /// optional active-sensor mask (empty = all sensors alive); a stream that
 /// switches model or mask cuts its pending batch first, so every batch is
 /// homogeneous. Mask feasibility (Theorem 1 rank guard, conditioning
@@ -342,7 +275,7 @@ struct EngineStats {
 /// concurrent producers.
 class ReconstructionEngine {
  public:
-  /// The model id submit/push_frame use when none is given; the
+  /// The model id push_frame uses when none is given; the
   /// single-reconstructor convenience constructor registers its model here.
   static constexpr ModelId kDefaultModel = 0;
 
@@ -375,31 +308,11 @@ class ReconstructionEngine {
   /// single-reconstructor constructor) — register/hot-swap models here.
   ModelRegistry& registry() { return *registry_; }
 
-  /// One-shot batch (frames x sensors); blocks while the queue is full.
-  /// Throws std::invalid_argument for an unknown model, a frame width not
-  /// matching the model, or an infeasible mask. The result buffer is
-  /// pooled (see PooledMaps); the adopted input storage is deliberately
-  /// dropped after the batch, not pooled — nothing on this path ever
-  /// re-acquires input-sized buffers, so pooling them would grow the
-  /// free list by one per call without bound.
-  std::future<PooledMaps> submit(
-      numerics::Matrix frames, ModelId model = kDefaultModel,
-      const core::SensorBitmask& mask = core::SensorBitmask());
-
-  /// One-shot batch that blocks the calling thread until the result is
-  /// ready — the fully pooled form: the frames are copied into a pooled
-  /// ingest buffer, the result comes back in a pooled handle, and the
-  /// completion handshake lives on this call's stack, so a warmed
-  /// submit_wait makes zero heap allocations end to end. Same validation
-  /// and throws as submit.
-  PooledMaps submit_wait(numerics::ConstMatrixView frames,
-                         ModelId model = kDefaultModel,
-                         const core::SensorBitmask& mask =
-                             core::SensorBitmask());
-
   /// Appends one frame to `stream`'s pending batch, cutting a job every
   /// batch_size frames (and whenever the stream's model/mask binding
-  /// changes). Returns the frame's sequence number in the stream.
+  /// changes). Returns the frame's sequence number in the stream: 0 for the
+  /// stream's first frame, then one more per push for the life of the
+  /// engine — flush() and drain() never restart it.
   std::uint64_t push_frame(
       std::uint64_t stream, numerics::ConstVectorView frame,
       ModelId model = kDefaultModel,
@@ -411,13 +324,6 @@ class ReconstructionEngine {
   /// Flushes every stream and blocks until all queued work is delivered.
   void drain();
 
-  /// Frees the per-stream state of every stream with nothing pending,
-  /// queued or undelivered; returns how many were retired. Long-running
-  /// servers handing out ephemeral stream ids call this periodically (e.g.
-  /// after drain()) so the stream table cannot grow without bound. A
-  /// retired id can be reused, but its sequence numbering restarts at 0.
-  std::size_t retire_idle_streams();
-
   EngineStats stats() const;
 
   /// EIGENMAPS_THREADS when set, else hardware concurrency (min 1).
@@ -426,7 +332,6 @@ class ReconstructionEngine {
  private:
   struct Job;
   struct StreamState;
-  struct OneShotWaiter;
 
   ReconstructionEngine(std::unique_ptr<ModelRegistry> owned_registry,
                        ModelRegistry* registry, EngineOptions options,
@@ -437,14 +342,11 @@ class ReconstructionEngine {
   std::shared_ptr<const RegisteredModel> bind(
       ModelId model, const core::SensorBitmask& mask) const;
 
-  std::shared_ptr<StreamState> stream_state(std::uint64_t stream);
+  StreamState& stream_state(std::uint64_t stream);
   /// Registry swap listener: pre-warms the swapped-in version's factor
   /// cache for every mask a live stream of that model is bound to, so the
   /// first post-swap batch does not pay the factor build inside a worker.
   void on_registry_swap(const RegisteredModel& entry);
-  Job make_one_shot_job(numerics::Vector frames, std::size_t frame_count,
-                        std::size_t width, ModelId model,
-                        const core::SensorBitmask& mask);
   void enqueue(Job job);
   void worker_loop();
   void run_job(Job& job, core::Workspace& workspace);
@@ -462,14 +364,14 @@ class ReconstructionEngine {
   const EngineOptions options_;
   const ResultCallback on_result_;
 
-  const std::shared_ptr<BufferPool> pool_;
+  BufferPool pool_;
   std::unique_ptr<BoundedWorkQueue<Job>> queue_;
   std::vector<std::thread> workers_;
 
   mutable std::mutex streams_mutex_;
-  // shared_ptr: retire_idle_streams() may erase an entry while a producer
-  // still holds a reference to the state; the state must outlive both.
-  std::map<std::uint64_t, std::shared_ptr<StreamState>> streams_;
+  // Entries are never erased while the engine lives, so the reference
+  // stream_state() hands out stays valid without holding streams_mutex_.
+  std::map<std::uint64_t, std::unique_ptr<StreamState>> streams_;
 
   // Hot-path counters are atomics so push_frame never takes a global lock.
   std::atomic<std::uint64_t> frames_submitted_{0};

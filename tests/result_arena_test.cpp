@@ -4,9 +4,7 @@
 // ResultArena calls the router's reader makes (DESIGN.md §12). One mapping
 // serves both threads, so ThreadSanitizer sees every shared byte and atomic
 // — it cannot see them across processes — and CI runs this suite under
-// -fsanitize=thread. It links only result_arena.cpp, not the library:
-// TSan cannot start a binary holding the library's target_clones ifunc
-// resolvers.
+// -fsanitize=thread.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>

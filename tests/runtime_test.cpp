@@ -2,7 +2,6 @@
 // in-order per-stream delivery, faithful results, honest counters.
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -41,57 +40,6 @@ struct Fixture {
     return f;
   }
 };
-
-TEST(ReconstructionEngine, SubmitFutureMatchesDirectBatch) {
-  const Fixture fx;
-  runtime::EngineOptions options;
-  options.worker_count = 2;
-  runtime::ReconstructionEngine engine(fx.rec, options);
-
-  numerics::Matrix frames(5, fx.sensors.size());
-  for (std::size_t f = 0; f < 5; ++f) frames.set_row(f, fx.frame(0, f));
-  const numerics::Matrix expect = fx.rec.reconstruct_batch(frames);
-
-  std::future<runtime::PooledMaps> result = engine.submit(frames);
-  const runtime::PooledMaps got = result.get();
-  ASSERT_EQ(got.rows(), expect.rows());
-  ASSERT_EQ(got.cols(), expect.cols());
-  for (std::size_t f = 0; f < got.rows(); ++f) {
-    for (std::size_t i = 0; i < got.cols(); ++i) {
-      EXPECT_DOUBLE_EQ(got(f, i), expect(f, i));
-    }
-  }
-}
-
-TEST(ReconstructionEngine, SubmitWaitMatchesSubmitAndRecyclesItsBuffers) {
-  const Fixture fx;
-  runtime::EngineOptions options;
-  options.worker_count = 2;
-  runtime::ReconstructionEngine engine(fx.rec, options);
-
-  numerics::Matrix frames(7, fx.sensors.size());
-  for (std::size_t f = 0; f < 7; ++f) frames.set_row(f, fx.frame(3, f));
-  const numerics::Matrix expect = fx.rec.reconstruct_batch(frames);
-
-  for (int round = 0; round < 3; ++round) {  // rounds reuse pooled buffers
-    const runtime::PooledMaps got = engine.submit_wait(frames);
-    ASSERT_EQ(got.rows(), expect.rows());
-    for (std::size_t f = 0; f < got.rows(); ++f) {
-      for (std::size_t i = 0; i < got.cols(); ++i) {
-        EXPECT_DOUBLE_EQ(got(f, i), expect(f, i));
-      }
-    }
-  }
-  // A PooledMaps handle may outlive the engine: the shared pool absorbs
-  // the buffer whenever the handle dies (ASan job would catch a misstep).
-  runtime::PooledMaps survivor;
-  {
-    runtime::ReconstructionEngine short_lived(fx.rec, options);
-    survivor = short_lived.submit_wait(frames);
-  }
-  EXPECT_EQ(survivor.rows(), expect.rows());
-  EXPECT_DOUBLE_EQ(survivor(0, 0), expect(0, 0));
-}
 
 TEST(ReconstructionEngine, SingleStreamResultsMatchPerFrameReconstruct) {
   const Fixture fx;
@@ -230,68 +178,46 @@ TEST(ReconstructionEngine, SharedStreamInterleavedProducersStayOrdered) {
   EXPECT_EQ(next_expected, 200u);
 }
 
-TEST(ReconstructionEngine, CountsSubmissionAtPushAndRetiresIdleStreams) {
+TEST(ReconstructionEngine, CountsSubmissionAtPushAndKeepsNumberingAcrossDrain) {
+  // The shard worker maps global to local sequence numbers by counting its
+  // own pushes per stream (dist/worker_main.cpp), so a stream's numbering
+  // must never restart: not after drain(), not after a flush() of a short
+  // batch — and the delivered first_seqs continue with it.
   const Fixture fx;
+  std::mutex delivered_mutex;
+  std::vector<std::uint64_t> delivered_seqs;
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 32;  // larger than what we push: no batch cuts yet
-  runtime::ReconstructionEngine engine(fx.rec, options);
+  runtime::ReconstructionEngine engine(
+      fx.rec, options,
+      [&](std::uint64_t, std::uint64_t first_seq, numerics::ConstMatrixView) {
+        std::lock_guard<std::mutex> lock(delivered_mutex);
+        delivered_seqs.push_back(first_seq);
+      });
 
-  for (std::uint64_t i = 0; i < 5; ++i) engine.push_frame(1, fx.frame(1, i));
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(engine.push_frame(1, fx.frame(1, i)), i);
+  }
   runtime::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.frames_submitted, 5u);  // counted at ingestion...
   EXPECT_EQ(stats.frames_completed, 0u);  // ...while still mid-batch
 
-  // The stream still holds pending frames, so it must not be retired.
-  EXPECT_EQ(engine.retire_idle_streams(), 0u);
-
   engine.drain();
   stats = engine.stats();
   EXPECT_EQ(stats.frames_completed, 5u);
-  EXPECT_EQ(engine.retire_idle_streams(), 1u);
 
-  // A retired id is usable again; its sequence numbering restarts.
-  EXPECT_EQ(engine.push_frame(1, fx.frame(1, 0)), 0u);
+  // Numbering continues across drain()...
+  EXPECT_EQ(engine.push_frame(1, fx.frame(1, 5)), 5u);
+  EXPECT_EQ(engine.push_frame(1, fx.frame(1, 6)), 6u);
+  // ...and across a flush() of a short batch.
+  engine.flush(1);
+  EXPECT_EQ(engine.push_frame(1, fx.frame(1, 7)), 7u);
   engine.drain();
-  EXPECT_EQ(engine.stats().frames_completed, 6u);
-}
+  EXPECT_EQ(engine.stats().frames_completed, 8u);
 
-TEST(ReconstructionEngine, RetireRacingProducersIsSafe) {
-  // Ephemeral one-frame streams go idle the instant their batch delivers,
-  // so a concurrent retirer constantly races producers that have already
-  // resolved the stream state — the exact window the retired-flag +
-  // shared_ptr ownership must cover (ASan job verifies no use-after-free).
-  const Fixture fx;
-  std::atomic<std::uint64_t> delivered{0};
-  runtime::EngineOptions options;
-  options.worker_count = 2;
-  options.batch_size = 1;
-  runtime::ReconstructionEngine engine(
-      fx.rec, options,
-      [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
-        delivered.fetch_add(maps.rows());
-      });
-
-  std::atomic<bool> done{false};
-  std::thread retirer([&] {
-    while (!done.load()) engine.retire_idle_streams();
-  });
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < 2; ++p) {
-    producers.emplace_back([&, p] {
-      const numerics::Vector f = fx.frame(p, 0);
-      for (std::uint64_t i = 0; i < 200; ++i) {
-        engine.push_frame(p * 100000 + i, f);  // fresh id every push
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  engine.drain();
-  done.store(true);
-  retirer.join();
-
-  EXPECT_EQ(delivered.load(), 400u);
-  EXPECT_EQ(engine.stats().frames_completed, 400u);
+  std::lock_guard<std::mutex> lock(delivered_mutex);
+  EXPECT_EQ(delivered_seqs, (std::vector<std::uint64_t>{0, 5, 7}));
 }
 
 TEST(ReconstructionEngine, RejectsBadConfigAndBadFrames) {
@@ -307,12 +233,6 @@ TEST(ReconstructionEngine, RejectsBadConfigAndBadFrames) {
 
   runtime::ReconstructionEngine engine(fx.rec);
   EXPECT_THROW(engine.push_frame(0, numerics::Vector(3, 0.0)),
-               std::invalid_argument);
-  EXPECT_THROW(engine.submit(numerics::Matrix(2, fx.sensors.size() + 2)),
-               std::invalid_argument);
-  const numerics::Matrix bad_width(2, fx.sensors.size() + 2);
-  EXPECT_THROW(engine.submit_wait(bad_width), std::invalid_argument);
-  EXPECT_THROW(engine.submit_wait(bad_width.view(), 42),
                std::invalid_argument);
   // Unknown model ids and infeasible masks fail on the producer too.
   EXPECT_THROW(engine.push_frame(0, fx.frame(0, 0), 42), std::invalid_argument);
@@ -362,50 +282,6 @@ TEST(ReconstructionEngine, AllActiveMaskSpellingsShareOneBinding) {
   engine.drain();
   EXPECT_EQ(batches.load(), 1u);  // one full batch, not eight singletons
   EXPECT_EQ(engine.stats().batches_completed, 1u);
-}
-
-TEST(ReconstructionEngine, RetiredThenReusedStreamIdRestartsAtZero) {
-  // Regression pin for the documented retire_idle_streams() contract: a
-  // retired id is usable again, but its sequence numbering restarts at 0 —
-  // including via flush(), which must not resurrect retired state.
-  const Fixture fx;
-  std::mutex delivered_mutex;
-  std::vector<std::uint64_t> delivered_seqs;
-
-  runtime::EngineOptions options;
-  options.worker_count = 2;
-  options.batch_size = 2;
-  runtime::ReconstructionEngine engine(
-      fx.rec, options,
-      [&](std::uint64_t stream, std::uint64_t first_seq,
-          numerics::ConstMatrixView) {
-        EXPECT_EQ(stream, 5u);
-        std::lock_guard<std::mutex> lock(delivered_mutex);
-        delivered_seqs.push_back(first_seq);
-      });
-
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(engine.push_frame(5, fx.frame(5, i)), i);
-  }
-  engine.flush(5);  // tail frame
-  engine.drain();
-  ASSERT_EQ(engine.retire_idle_streams(), 1u);
-
-  // flush() on the retired id is a no-op and must not break the restart.
-  engine.flush(5);
-  engine.drain();
-
-  // The reused id numbers from 0 again, at push and at delivery.
-  EXPECT_EQ(engine.push_frame(5, fx.frame(5, 0)), 0u);
-  EXPECT_EQ(engine.push_frame(5, fx.frame(5, 1)), 1u);
-  engine.drain();
-
-  std::lock_guard<std::mutex> lock(delivered_mutex);
-  ASSERT_EQ(delivered_seqs.size(), 4u);
-  EXPECT_EQ(delivered_seqs[0], 0u);  // first life: 0, 2, 4
-  EXPECT_EQ(delivered_seqs[1], 2u);
-  EXPECT_EQ(delivered_seqs[2], 4u);
-  EXPECT_EQ(delivered_seqs[3], 0u);  // second life restarts at 0
 }
 
 TEST(ReconstructionEngine, ServesTwoRegisteredModelsConcurrently) {

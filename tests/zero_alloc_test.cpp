@@ -317,46 +317,6 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
   obs::drain_spans();
 }
 
-TEST(ZeroAlloc, WarmedSubmitWaitServesOneShotBatchesWithoutAllocating) {
-  // The pooled one-shot path: submit_wait copies into a pooled ingest
-  // buffer, the worker solves into a pooled output buffer, the handshake
-  // lives on the caller's stack, and dropping the handle recycles the
-  // output — so a warmed loop of one-shot batches is allocation-free.
-  const Fixture fx;
-  const numerics::Matrix frames = fx.frames(16, 13);
-  const numerics::Matrix expect = fx.rec.reconstruct_batch(frames);
-
-  runtime::EngineOptions options;
-  options.worker_count = 1;
-  runtime::ReconstructionEngine engine(fx.rec, options);
-
-  // Warm-up: mint the ingest + output buffers, grow the worker workspace,
-  // and let the stats map materialise its per-model node.
-  for (int warm = 0; warm < 3; ++warm) {
-    const runtime::PooledMaps maps = engine.submit_wait(frames);
-    ASSERT_EQ(maps.rows(), frames.rows());
-  }
-
-  const std::uint64_t before = testhook::allocation_count();
-  for (int i = 0; i < 50; ++i) {
-    const runtime::PooledMaps maps = engine.submit_wait(frames);
-    if (maps.rows() != frames.rows()) {
-      ADD_FAILURE() << "wrong shape";  // no gtest alloc on the hot loop
-      break;
-    }
-  }
-  EXPECT_EQ(testhook::allocation_count() - before, 0u)
-      << "warmed submit_wait must not touch the heap";
-
-  // Still the real reconstruction, bit for bit.
-  const runtime::PooledMaps maps = engine.submit_wait(frames);
-  for (std::size_t f = 0; f < frames.rows(); ++f) {
-    for (std::size_t i = 0; i < expect.cols(); ++i) {
-      EXPECT_EQ(maps(f, i), expect(f, i));
-    }
-  }
-}
-
 TEST(ZeroAlloc, WorkspaceGrowsOnlyWhenNeedGrows) {
   core::Workspace workspace;
   EXPECT_TRUE(workspace.begin(100));   // first reservation allocates
