@@ -32,7 +32,7 @@ const core::SensorBitmask& canonical_mask(const core::SensorBitmask& mask) {
 }  // namespace
 
 struct ReconstructionEngine::Job {
-  // The batch's frames, row-major frame_count x width in a pooled buffer
+  // The batch's frames, row-major in a pooled batch_size x width buffer
   // (only the first frame_count rows are meaningful; short batches leave
   // the tail of the buffer untouched).
   numerics::Vector frames;
@@ -46,15 +46,14 @@ struct ReconstructionEngine::Job {
   // The stream the batch was cut from and its first frame's sequence number.
   std::uint64_t stream = 0;
   std::uint64_t first_seq = 0;
+  // When the batch's first frame was pushed (obs::monotonic_ns); the
+  // ingest-assembly histogram samples enqueue minus this.
+  std::uint64_t opened_ns = 0;
   // Trace identity of the batch (DESIGN.md §15): whether its frames are
-  // traced, the origin timestamp of its first frame (router push time for
-  // dist traffic, local push time otherwise), the local->global sequence
-  // offset that stitches spans across processes, and when its first frame
-  // was pushed (the ingest-assembly histogram sample).
+  // traced, and the local->global sequence offset that stitches spans
+  // across processes.
   bool traced = false;
-  std::uint64_t origin_ns = 0;
   std::uint64_t seq_base = 0;
-  std::uint64_t first_push_ns = 0;
 };
 
 struct ReconstructionEngine::StreamState {
@@ -72,13 +71,13 @@ struct ReconstructionEngine::StreamState {
   ModelId model = kDefaultModel;
   core::SensorBitmask mask;
   std::shared_ptr<const RegisteredModel> entry;
-  // Trace identity of the pending batch, set by its first frame (every
-  // batch's first frame takes the rebind branch) and moved into the job at
-  // cut().
+  // Open time and trace identity of the pending batch, set by its first
+  // frame (every batch's first frame takes the rebind branch) and moved
+  // into the job at cut(). The age cut compares pushes against the open
+  // time.
+  std::uint64_t batch_opened_ns = 0;
   bool batch_traced = false;
-  std::uint64_t batch_origin_ns = 0;
   std::uint64_t batch_seq_base = 0;
-  std::uint64_t batch_first_push_ns = 0;
 
   // Delivery side: completed batches held until their turn, sorted by
   // first_seq in a small vector whose capacity is reused (at most
@@ -87,7 +86,7 @@ struct ReconstructionEngine::StreamState {
   std::uint64_t next_deliver_seq = 0;
   struct Ready {
     std::uint64_t first_seq = 0;
-    numerics::Vector maps;  // pooled, frames x width row-major
+    numerics::Vector maps;  // pooled, batch_size x width; frames rows valid
     std::size_t frames = 0;
     std::size_t width = 0;
   };
@@ -104,10 +103,9 @@ struct ReconstructionEngine::StreamState {
     job.mask = mask;
     job.stream = stream_id;
     job.first_seq = batch_first_seq;
+    job.opened_ns = batch_opened_ns;
     job.traced = batch_traced;
-    job.origin_ns = batch_origin_ns;
     job.seq_base = batch_seq_base;
-    job.first_push_ns = batch_first_push_ns;
     pending_frames = 0;
     batch_first_seq = next_seq;
     return job;
@@ -185,6 +183,10 @@ ReconstructionEngine::ReconstructionEngine(
   if (options_.queue_capacity == 0) {
     throw std::invalid_argument(
         "ReconstructionEngine: queue_capacity must be > 0");
+  }
+  if (options_.max_batch_delay.count() < 0) {
+    throw std::invalid_argument(
+        "ReconstructionEngine: max_batch_delay must be >= 0");
   }
   // Log the dispatched kernel tier once per process: the serving numbers
   // below depend on it, and a container that silently loses AVX support
@@ -308,7 +310,8 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
                                                ModelId model,
                                                const core::SensorBitmask& mask) {
   // Up to two jobs can come loose in one push: the old pending batch when
-  // the (model, mask) binding changes, plus this frame's batch filling up.
+  // the (model, mask) binding changes, plus this frame's batch when it is
+  // full or old enough.
   Job cut_jobs[2];
   std::size_t cut_count = 0;
   std::uint64_t seq = 0;
@@ -318,24 +321,25 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
   // Trace identity of this frame (DESIGN.md §15). When tracing is off the
   // hot path pays exactly one relaxed load; when on, a shard worker's
   // FrameContext supplies the wire-carried origin/seq mapping, and a local
-  // producer traces from here with identity mapping.
-  const bool tracing = obs::tracing_enabled();
+  // producer traces from here with identity mapping (origin 0 stands for
+  // this push's own clock reading).
   bool frame_traced = false;
-  std::uint64_t push_start_ns = 0;
   std::uint64_t frame_origin_ns = 0;
   std::uint64_t frame_seq_base = 0;
-  if (tracing) {
-    push_start_ns = obs::monotonic_ns();
+  if (obs::tracing_enabled()) {
     const obs::FrameContext& context = obs::frame_context();
     frame_traced = context.active ? context.traced : true;
-    frame_origin_ns = context.active && context.origin_ns != 0
-                          ? context.origin_ns
-                          : push_start_ns;
+    frame_origin_ns = context.active ? context.origin_ns : 0;
     frame_seq_base = context.active ? context.seq_base : 0;
   }
   {
     StreamState& state = stream_state(stream);
     std::lock_guard<std::mutex> lock(state.ingest_mutex);
+    // The push's one clock read, taken under the lock so it is never
+    // earlier than the open time of the batch it appends to: it stamps a
+    // batch this frame opens, drives the age cut and ends the traced
+    // ingest span.
+    const std::uint64_t push_ns = obs::monotonic_ns();
     const bool rebind = state.pending_frames == 0 ||
                         state.model != model || state.mask != canon;
     if (rebind) {
@@ -358,17 +362,18 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
       state.mask = canon;
       state.width = state.entry->model->sensor_count();
       state.batch_first_seq = state.next_seq;
-      // Every batch's first frame lands here, so the batch trace identity
-      // is always this frame's (and cleanly false when tracing is off).
+      // Every batch's first frame lands here, so the open time and trace
+      // identity are always this frame's (the latter cleanly false when
+      // tracing is off).
+      state.batch_opened_ns = push_ns;
       state.batch_traced = frame_traced;
-      state.batch_origin_ns = frame_origin_ns;
       state.batch_seq_base = frame_seq_base;
-      state.batch_first_push_ns = push_start_ns;
       // A fresh batch needs a buffer — `pending` is always empty here (it
       // left with the previous cut(), including the mid-batch cut above).
       // Pool recycling makes this allocation-free once the engine is warm.
       bool minted = false;
-      state.pending = pool_.acquire(options_.batch_size * state.width, minted);
+      state.pending =
+          ingest_pool_.acquire(options_.batch_size * state.width, minted);
       if (minted) count_serving_allocations(model, 1);
     } else {
       if (frame.size() != state.entry->model->sensor_count()) {
@@ -398,13 +403,21 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
       // for dist traffic the origin is the router's push, so this span is
       // the cross-process hop the stitched view hangs together on. The
       // entry timestamp doubles as the span end — the only clock read on
-      // the traced push path, which is what keeps a ~3.5 µs/frame engine
-      // inside the <=2% overhead budget; the sub-µs spent copying into
-      // the batch is not worth a second read.
-      obs::record_span(obs::Stage::kIngest, frame_origin_ns, push_start_ns,
-                       stream, frame_seq_base + seq, 1);
+      // the push path, which is what keeps a ~3.5 µs/frame engine inside
+      // the <=2% overhead budget; the sub-µs spent copying into the batch
+      // is not worth a second read.
+      obs::record_span(obs::Stage::kIngest,
+                       frame_origin_ns != 0 ? frame_origin_ns : push_ns,
+                       push_ns, stream, frame_seq_base + seq, 1);
     }
-    if (state.pending_frames >= options_.batch_size) {
+    // Cut when full, or when this push finds the batch max_batch_delay old
+    // (DESIGN.md §8). The check follows the append, so an aged batch leaves
+    // with its newest frame and never idles after it. The deadline form
+    // cannot wrap an unsigned age.
+    const auto max_delay_ns =
+        static_cast<std::uint64_t>(options_.max_batch_delay.count());
+    if (state.pending_frames >= options_.batch_size ||
+        push_ns >= state.batch_opened_ns + max_delay_ns) {
       cut_jobs[cut_count++] = state.cut(stream);
     }
   }
@@ -494,8 +507,9 @@ void ReconstructionEngine::worker_loop() {
   // Preallocate this worker's span ring up front (engine construction is
   // the warm-up boundary the zero-allocation invariant is pinned against).
   if (obs::tracing_enabled()) obs::ensure_thread_ring();
-  // One warmed scratch arena per worker: after the first few batches its
-  // capacity covers every model it serves and begin() never allocates.
+  // One warmed scratch arena per worker. run_job reserves a full batch for
+  // every batch, so once the worker has served each model its capacity
+  // covers every batch length and begin() never allocates.
   core::Workspace workspace;
   while (std::optional<Job> job = queue_->pop()) {
     run_job(*job, workspace);
@@ -534,11 +548,17 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
   }
   obs::set_batch_context(&ctx);
 
-  // The result comes out of the pool and goes back once delivered.
+  // The result comes out of the map pool and goes back once delivered.
+  // Every buffer and the workspace are sized for a full batch, whatever
+  // this batch's length (DESIGN.md §10): age cuts make batch lengths vary,
+  // and a pool or workspace warmed on short batches must not mint when a
+  // full one arrives.
   bool minted = false;
-  numerics::Vector maps = pool_.acquire(job.frame_count * cells, minted);
+  numerics::Vector maps =
+      map_pool_.acquire(options_.batch_size * cells, minted);
   if (minted) ++minted_buffers;
   numerics::MatrixView out(maps.data(), job.frame_count, cells, cells);
+  workspace.begin(job.entry->model->workspace_doubles(options_.batch_size));
   job.entry->cache->reconstruct_batch_into(frames, job.mask, out, workspace);
   obs::set_batch_context(nullptr);
 
@@ -555,13 +575,12 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
       stats_.max_batch_latency_ns = latency;
     }
     stats_.latency.record(latency);
-    // Per-stage histograms (queue-wait, solve, expand per batch; ingest =
-    // batch assembly, sampled only when the traced push path timestamped
-    // the first frame). deliver is recorded after the handoff below.
-    if (job.first_push_ns != 0 && enqueued_ns >= job.first_push_ns) {
-      stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kIngest)]
-          .record(enqueued_ns - job.first_push_ns);
-    }
+    // Per-stage histograms, one sample per batch: ingest = batch assembly
+    // (open to enqueue), queue-wait, solve, expand. deliver is recorded
+    // after the handoff below.
+    stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kIngest)]
+        .record(enqueued_ns >= job.opened_ns ? enqueued_ns - job.opened_ns
+                                             : 0);
     stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kQueueWait)]
         .record(dequeued_ns >= enqueued_ns ? dequeued_ns - enqueued_ns : 0);
     stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kSolve)].record(
@@ -593,7 +612,7 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
   // Input goes back to the pool before delivery, which may wait on the
   // stream's deliver lock: producers cutting their next batches meanwhile
   // find the buffer home.
-  pool_.release(std::move(job.frames));
+  ingest_pool_.release(std::move(job.frames));
   const std::uint64_t deliver_start_ns = obs::monotonic_ns();
   deliver(job.stream, job.first_seq, std::move(maps), job.frame_count, cells);
   const std::uint64_t deliver_end_ns = obs::monotonic_ns();
@@ -633,7 +652,7 @@ void ReconstructionEngine::deliver(std::uint64_t stream,
                  numerics::ConstMatrixView(batch.maps.data(), batch.frames,
                                            batch.width, batch.width));
     }
-    pool_.release(std::move(batch.maps));
+    map_pool_.release(std::move(batch.maps));
   }
 }
 

@@ -1,14 +1,15 @@
 // Streaming batched reconstruction: many sensor-reading frames per second,
 // many registered models, one blocked GEMM per batch, dropout-tolerant via
 // the per-model mask-keyed factor cache — with a zero-allocation steady
-// state: pooled frame/output buffers, per-worker workspaces, and a ring
-// work queue mean a warmed engine serves frames without touching the heap
-// (DESIGN.md §10).
+// state: pooled frame/output buffers sized for full batches, per-worker
+// workspaces reserved for full batches, and a ring work queue mean a
+// warmed engine serves frames without touching the heap (DESIGN.md §10).
 #ifndef EIGENMAPS_RUNTIME_ENGINE_H
 #define EIGENMAPS_RUNTIME_ENGINE_H
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -67,6 +68,14 @@ struct EngineOptions {
   /// size amortise the QR solve and subspace GEMM (DESIGN.md §8). Must be
   /// positive (the constructor throws std::invalid_argument otherwise).
   std::size_t batch_size = 32;
+  /// Age at which a stream's batch is cut before it is full: the push that
+  /// appends a frame and finds the batch's first frame at least this old
+  /// cuts it, the arriving frame included (DESIGN.md §8). A frame of an
+  /// active stream then waits at most this plus the gap to its stream's
+  /// next frame; a stream that stops still needs flush() or drain(). Zero
+  /// cuts on every push. Must not be negative (the constructor throws
+  /// std::invalid_argument otherwise).
+  std::chrono::nanoseconds max_batch_delay = std::chrono::milliseconds(1);
   /// Bound on queued batch jobs; producers block past it (back-pressure).
   /// Must be positive (the constructor throws std::invalid_argument
   /// otherwise — a zero-capacity queue could never cut a batch loose).
@@ -76,10 +85,10 @@ struct EngineOptions {
   BatchObserver* observer = nullptr;
 };
 
-/// Recycles double buffers (frame batches in, reconstructed maps out).
-/// acquire() resizes a free buffer whose capacity fits — no allocation —
-/// and only mints a new one (reporting it, for the steady-state counters)
-/// when none does.
+/// Recycles double buffers (the engine keeps one pool for frame batches
+/// in and one for reconstructed maps out). acquire() resizes a free buffer
+/// whose capacity fits — no allocation — and only mints a new one
+/// (reporting it, for the steady-state counters) when none does.
 class BufferPool {
  public:
   /// A buffer with size() == doubles. Sets `minted` when it had to heap-
@@ -237,10 +246,10 @@ struct EngineStats {
   /// Per-batch latency distribution (p50/p99 via quantile_ns).
   LatencyHistogram latency;
   /// Per-stage latency distributions, indexed by obs::Stage (engine
-  /// stages only): ingest = batch assembly (populated while tracing is
-  /// enabled — its per-frame timestamps ride the traced push path),
-  /// queue-wait, solve, expand, deliver. Merged across shards by bucket
-  /// addition exactly like `latency` (DESIGN.md §15).
+  /// stages only), one sample per batch: ingest = batch assembly (the
+  /// batch's open time to its enqueue), queue-wait, solve, expand,
+  /// deliver. Recorded whether or not tracing is on. Merged across shards
+  /// by bucket addition exactly like `latency` (DESIGN.md §15).
   std::array<LatencyHistogram, obs::kEngineStageCount> stage_latency{};
   /// Snapshot of this process's structured event ring (hot-swaps, drift
   /// alarms, retrains, shard lifecycle — obs/event_log.h), taken at
@@ -252,8 +261,9 @@ struct EngineStats {
 
 /// Drives batches of sensor frames across a worker pool over a bounded
 /// queue. push_frame(stream, frame, model, mask) is the one front door:
-/// frames accumulate per stream into batch_size batches; completed batches
-/// are handed to the result callback exactly once and in submission order
+/// frames accumulate per stream into batches, cut when full or 1 ms old
+/// (EngineOptions::batch_size, max_batch_delay); completed batches are
+/// handed to the result callback exactly once and in submission order
 /// per stream, even when workers finish them out of order. Frames land in
 /// pooled batch buffers and results in pooled output buffers, so a warmed
 /// stream ingests and delivers without heap allocations.
@@ -308,17 +318,19 @@ class ReconstructionEngine {
   /// single-reconstructor constructor) — register/hot-swap models here.
   ModelRegistry& registry() { return *registry_; }
 
-  /// Appends one frame to `stream`'s pending batch, cutting a job every
-  /// batch_size frames (and whenever the stream's model/mask binding
-  /// changes). Returns the frame's sequence number in the stream: 0 for the
-  /// stream's first frame, then one more per push for the life of the
-  /// engine — flush() and drain() never restart it.
+  /// Appends one frame to `stream`'s pending batch, cutting a job when the
+  /// batch is full or 1 ms old (batch_size, max_batch_delay), and whenever
+  /// the stream's model/mask binding changes. Returns the frame's sequence
+  /// number in the stream: 0 for the stream's first frame, then one more
+  /// per push for the life of the engine — flush() and drain() never
+  /// restart it.
   std::uint64_t push_frame(
       std::uint64_t stream, numerics::ConstVectorView frame,
       ModelId model = kDefaultModel,
       const core::SensorBitmask& mask = core::SensorBitmask());
 
-  /// Cuts a (possibly short) batch from `stream`'s pending frames.
+  /// Cuts a (possibly short) batch from `stream`'s pending frames: the
+  /// end-of-stream call, since only a later push cuts a batch by age.
   void flush(std::uint64_t stream);
 
   /// Flushes every stream and blocks until all queued work is delivered.
@@ -364,7 +376,9 @@ class ReconstructionEngine {
   const EngineOptions options_;
   const ResultCallback on_result_;
 
-  BufferPool pool_;
+  // Separate pools, so an ingest request never takes a map buffer.
+  BufferPool ingest_pool_;
+  BufferPool map_pool_;
   std::unique_ptr<BoundedWorkQueue<Job>> queue_;
   std::vector<std::thread> workers_;
 

@@ -6,6 +6,7 @@
 // swaps.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -296,6 +297,8 @@ TEST(ObsTrace, TracedEngineRunCoversEveryStageGapFree) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = kBatch;
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
   runtime::ReconstructionEngine engine(
       fx.rec, options,
       [](std::uint64_t, std::uint64_t, numerics::ConstMatrixView) {});
@@ -379,6 +382,8 @@ TEST(ObsExport, EngineRenderCarriesStageLabelsModelsAndEvents) {
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = 4;
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
   runtime::ReconstructionEngine engine(
       fx.rec, options,
       [](std::uint64_t, std::uint64_t, numerics::ConstMatrixView) {});
@@ -389,8 +394,12 @@ TEST(ObsExport, EngineRenderCarriesStageLabelsModelsAndEvents) {
 
   const std::string text = obs::render_prometheus(engine.stats());
   EXPECT_NE(text.find("eigenmaps_frames_completed 8\n"), std::string::npos);
-  // Per-stage histograms, labelled; solve/expand/queue_wait/deliver record
-  // unconditionally (ingest needs tracing, so it may be idle here).
+  // Per-stage histograms, labelled, one sample per batch for every stage:
+  // ingest (batch assembly) records untraced too.
+  EXPECT_NE(
+      text.find("eigenmaps_stage_latency_ns_count{stage=\"ingest\"} 2\n"),
+      std::string::npos)
+      << text;
   EXPECT_NE(text.find("eigenmaps_stage_latency_ns_bucket{stage=\"solve\",le="),
             std::string::npos);
   EXPECT_NE(text.find(

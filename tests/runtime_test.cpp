@@ -1,10 +1,14 @@
 // ReconstructionEngine: correctness under concurrency — exactly-once,
 // in-order per-stream delivery, faithful results, honest counters.
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,6 +54,8 @@ TEST(ReconstructionEngine, SingleStreamResultsMatchPerFrameReconstruct) {
   runtime::EngineOptions options;
   options.worker_count = 3;
   options.batch_size = 4;
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
   {
     runtime::ReconstructionEngine engine(
         fx.rec, options,
@@ -88,94 +94,142 @@ TEST(ReconstructionEngine, SingleStreamResultsMatchPerFrameReconstruct) {
   }
 }
 
+/// The default age cut, then every push cutting its own one-frame batch:
+/// exactly-once, in-order delivery must hold for both.
+const std::chrono::nanoseconds kBatchDelays[] = {
+    runtime::EngineOptions().max_batch_delay, std::chrono::nanoseconds(0)};
+
 TEST(ReconstructionEngine, ManyProducersManyStreamsExactlyOnceInOrder) {
   const Fixture fx;
   constexpr std::size_t kStreams = 4;
   constexpr std::uint64_t kFramesPerStream = 103;  // forces a short tail batch
 
-  std::mutex state_mutex;
-  std::vector<std::uint64_t> next_expected(kStreams, 0);
-  std::vector<std::uint64_t> frames_seen(kStreams, 0);
-  std::atomic<int> order_violations{0};
+  for (const std::chrono::nanoseconds delay : kBatchDelays) {
+    SCOPED_TRACE("max_batch_delay " + std::to_string(delay.count()) + " ns");
+    std::mutex state_mutex;
+    std::vector<std::uint64_t> next_expected(kStreams, 0);
+    std::vector<std::uint64_t> frames_seen(kStreams, 0);
+    std::atomic<int> order_violations{0};
 
-  runtime::EngineOptions options;
-  options.worker_count = 4;
-  options.batch_size = 8;
-  options.queue_capacity = 4;  // small: exercise producer back-pressure
-  runtime::ReconstructionEngine engine(
-      fx.rec, options,
-      [&](std::uint64_t stream, std::uint64_t first_seq,
-          numerics::ConstMatrixView maps) {
-        std::lock_guard<std::mutex> lock(state_mutex);
-        if (first_seq != next_expected[stream]) order_violations.fetch_add(1);
-        next_expected[stream] = first_seq + maps.rows();
-        frames_seen[stream] += maps.rows();
+    runtime::EngineOptions options;
+    options.worker_count = 4;
+    options.batch_size = 8;
+    options.queue_capacity = 4;  // small: exercise producer back-pressure
+    options.max_batch_delay = delay;
+    runtime::ReconstructionEngine engine(
+        fx.rec, options,
+        [&](std::uint64_t stream, std::uint64_t first_seq,
+            numerics::ConstMatrixView maps) {
+          std::lock_guard<std::mutex> lock(state_mutex);
+          if (first_seq != next_expected[stream]) order_violations.fetch_add(1);
+          next_expected[stream] = first_seq + maps.rows();
+          frames_seen[stream] += maps.rows();
+        });
+
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kStreams; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::uint64_t i = 0; i < kFramesPerStream; ++i) {
+          engine.push_frame(p, fx.frame(p, i));
+        }
       });
+    }
+    for (std::thread& t : producers) t.join();
+    engine.drain();
 
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kStreams; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kFramesPerStream; ++i) {
-        engine.push_frame(p, fx.frame(p, i));
-      }
-    });
+    EXPECT_EQ(order_violations.load(), 0);
+    for (std::size_t p = 0; p < kStreams; ++p) {
+      EXPECT_EQ(frames_seen[p], kFramesPerStream) << "stream " << p;
+      EXPECT_EQ(next_expected[p], kFramesPerStream) << "stream " << p;
+    }
+
+    const runtime::EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.frames_submitted, kStreams * kFramesPerStream);
+    EXPECT_EQ(stats.frames_completed, kStreams * kFramesPerStream);
+    EXPECT_GE(stats.batches_completed,
+              kStreams * (kFramesPerStream / options.batch_size));
+    EXPECT_GE(stats.max_batch_latency_ns, 1u);
+    EXPECT_GE(stats.total_batch_latency_ns, stats.max_batch_latency_ns);
   }
-  for (std::thread& t : producers) t.join();
-  engine.drain();
-
-  EXPECT_EQ(order_violations.load(), 0);
-  for (std::size_t p = 0; p < kStreams; ++p) {
-    EXPECT_EQ(frames_seen[p], kFramesPerStream) << "stream " << p;
-    EXPECT_EQ(next_expected[p], kFramesPerStream) << "stream " << p;
-  }
-
-  const runtime::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.frames_submitted, kStreams * kFramesPerStream);
-  EXPECT_EQ(stats.frames_completed, kStreams * kFramesPerStream);
-  EXPECT_GE(stats.batches_completed,
-            kStreams * (kFramesPerStream / options.batch_size));
-  EXPECT_GE(stats.max_batch_latency_ns, 1u);
-  EXPECT_GE(stats.total_batch_latency_ns, stats.max_batch_latency_ns);
 }
 
 TEST(ReconstructionEngine, SharedStreamInterleavedProducersStayOrdered) {
   const Fixture fx;
   constexpr std::uint64_t kStream = 2;
 
-  std::mutex state_mutex;
-  std::uint64_t next_expected = 0;
-  std::uint64_t frames_seen = 0;
-  bool in_order = true;
+  for (const std::chrono::nanoseconds delay : kBatchDelays) {
+    SCOPED_TRACE("max_batch_delay " + std::to_string(delay.count()) + " ns");
+    std::mutex state_mutex;
+    std::uint64_t next_expected = 0;
+    std::uint64_t frames_seen = 0;
+    bool in_order = true;
 
+    runtime::EngineOptions options;
+    options.worker_count = 3;
+    options.batch_size = 5;
+    options.max_batch_delay = delay;
+    runtime::ReconstructionEngine engine(
+        fx.rec, options,
+        [&](std::uint64_t stream, std::uint64_t first_seq,
+            numerics::ConstMatrixView maps) {
+          ASSERT_EQ(stream, kStream);
+          std::lock_guard<std::mutex> lock(state_mutex);
+          if (first_seq != next_expected) in_order = false;
+          next_expected = first_seq + maps.rows();
+          frames_seen += maps.rows();
+        });
+
+    // Four producers hammer the SAME stream; sequence numbers are assigned
+    // at push time, so whatever the interleaving, delivery must follow it.
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 4; ++p) {
+      producers.emplace_back([&] {
+        const numerics::Vector f = fx.frame(kStream, 1);
+        for (int i = 0; i < 50; ++i) engine.push_frame(kStream, f);
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    engine.drain();
+
+    EXPECT_TRUE(in_order);
+    EXPECT_EQ(frames_seen, 200u);
+    EXPECT_EQ(next_expected, 200u);
+  }
+}
+
+TEST(ReconstructionEngine, BatchDeadlineCutsOnThePushPastIt) {
+  // A batch far from full is cut by the first push that finds its first
+  // frame max_batch_delay old, and that push's frame leaves with it: the
+  // whole batch arrives with no flush() or drain().
+  const Fixture fx;
+  std::mutex delivered_mutex;
+  std::condition_variable delivered_cv;
+  std::vector<std::pair<std::uint64_t, std::size_t>> delivered;  // seq, rows
   runtime::EngineOptions options;
-  options.worker_count = 3;
-  options.batch_size = 5;
+  options.worker_count = 2;
+  options.batch_size = 32;
+  options.max_batch_delay = std::chrono::milliseconds(2);
   runtime::ReconstructionEngine engine(
       fx.rec, options,
-      [&](std::uint64_t stream, std::uint64_t first_seq,
+      [&](std::uint64_t, std::uint64_t first_seq,
           numerics::ConstMatrixView maps) {
-        ASSERT_EQ(stream, kStream);
-        std::lock_guard<std::mutex> lock(state_mutex);
-        if (first_seq != next_expected) in_order = false;
-        next_expected = first_seq + maps.rows();
-        frames_seen += maps.rows();
+        std::lock_guard<std::mutex> lock(delivered_mutex);
+        delivered.emplace_back(first_seq, maps.rows());
+        delivered_cv.notify_all();
       });
 
-  // Four producers hammer the SAME stream; sequence numbers are assigned
-  // at push time, so whatever the interleaving, delivery must follow it.
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
-      const numerics::Vector f = fx.frame(kStream, 1);
-      for (int i = 0; i < 50; ++i) engine.push_frame(kStream, f);
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  engine.drain();
+  std::vector<numerics::Vector> frames;
+  for (std::uint64_t i = 0; i < 4; ++i) frames.push_back(fx.frame(1, i));
+  for (std::uint64_t i = 0; i < 3; ++i) engine.push_frame(1, frames[i]);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  engine.push_frame(1, frames[3]);
 
-  EXPECT_TRUE(in_order);
-  EXPECT_EQ(frames_seen, 200u);
-  EXPECT_EQ(next_expected, 200u);
+  std::unique_lock<std::mutex> lock(delivered_mutex);
+  ASSERT_TRUE(delivered_cv.wait_for(lock, std::chrono::seconds(10),
+                                    [&] { return !delivered.empty(); }))
+      << "the aged batch was never cut";
+  EXPECT_EQ(delivered,
+            (std::vector<std::pair<std::uint64_t, std::size_t>>{{0, 4}}));
 }
 
 TEST(ReconstructionEngine, CountsSubmissionAtPushAndKeepsNumberingAcrossDrain) {
@@ -189,6 +243,8 @@ TEST(ReconstructionEngine, CountsSubmissionAtPushAndKeepsNumberingAcrossDrain) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 32;  // larger than what we push: no batch cuts yet
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
   runtime::ReconstructionEngine engine(
       fx.rec, options,
       [&](std::uint64_t, std::uint64_t first_seq, numerics::ConstMatrixView) {
@@ -230,6 +286,10 @@ TEST(ReconstructionEngine, RejectsBadConfigAndBadFrames) {
   zero_queue.queue_capacity = 0;
   EXPECT_THROW(runtime::ReconstructionEngine(fx.rec, zero_queue),
                std::invalid_argument);
+  runtime::EngineOptions negative_delay;
+  negative_delay.max_batch_delay = std::chrono::nanoseconds(-1);
+  EXPECT_THROW(runtime::ReconstructionEngine(fx.rec, negative_delay),
+               std::invalid_argument);
 
   runtime::ReconstructionEngine engine(fx.rec);
   EXPECT_THROW(engine.push_frame(0, numerics::Vector(3, 0.0)),
@@ -268,6 +328,8 @@ TEST(ReconstructionEngine, AllActiveMaskSpellingsShareOneBinding) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 8;
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
   runtime::ReconstructionEngine engine(
       fx.rec, options,
       [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView) {
@@ -389,6 +451,8 @@ TEST(ReconstructionEngine, DegradedStreamMatchesFromScratchReconstructor) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 4;
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
   runtime::ReconstructionEngine engine(
       rec, options,
       [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
@@ -460,6 +524,8 @@ TEST(ReconstructionEngine, HotSwapTakesEffectAtTheNextBatchWithoutDrain) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 4;
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
   runtime::ReconstructionEngine engine(
       registry, options,
       [&](std::uint64_t, std::uint64_t first_seq,
@@ -562,6 +628,8 @@ TEST(ReconstructionEngine, HotSwapUnderLiveMaskServesNoStaleFactor) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 4;
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
   std::mutex delivered_mutex;
   std::map<std::uint64_t, numerics::Matrix> delivered;
   runtime::ReconstructionEngine engine(

@@ -3,6 +3,7 @@
 // pools and factor caches are warm, the `_into` reconstruction paths and
 // the streaming engine serve frames without a single heap allocation.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -188,6 +189,8 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   options.batch_size = 8;
   options.queue_capacity = 2;  // bounds in-flight buffers, so warm-up
                                // reaches the pool's steady population fast
+  // Asserts batch boundaries: PeakHold counts pushes to the blocking cut.
+  options.max_batch_delay = std::chrono::hours(1);
   // Pushes alternate streams 1, 2 frame by frame. With stream 2's first
   // batch held and the two after it queued, the push that cuts stream 1's
   // third batch (2 streams x 3 batches - 1) is the one that blocks, while
@@ -262,6 +265,8 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
   options.worker_count = 1;
   options.batch_size = 8;
   options.queue_capacity = 2;
+  // Asserts batch boundaries: PeakHold counts pushes to the blocking cut.
+  options.max_batch_delay = std::chrono::hours(1);
   // With the first batch held and the next two queued, the push that cuts
   // the fourth batch is the one that blocks: 4 inputs + 1 output live.
   PeakHold hold(1, 4 * options.batch_size);
@@ -315,6 +320,51 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
   }
   obs::set_tracing(false);
   obs::drain_spans();
+}
+
+TEST(ZeroAlloc, ShortBatchWarmUpCoversFullBatches) {
+  // Age cuts make batch lengths vary, so every per-batch buffer is sized
+  // for a full batch (DESIGN.md §10): an engine warmed only on short
+  // batches serves full ones without touching the heap.
+  const Fixture fx;
+  const numerics::Matrix frames = fx.frames(8, 19);
+
+  std::atomic<std::uint64_t> delivered{0};
+  runtime::EngineOptions options;
+  options.worker_count = 1;
+  options.batch_size = 8;
+  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  options.max_batch_delay = std::chrono::hours(1);
+  runtime::ReconstructionEngine engine(
+      fx.rec, options,
+      [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
+        delivered.fetch_add(maps.rows(), std::memory_order_relaxed);
+      });
+  const auto wait_for = [&](std::uint64_t target) {
+    while (delivered.load(std::memory_order_relaxed) < target) {
+      std::this_thread::yield();
+    }
+  };
+
+  // Warm-up: four 3-frame batches, each cut by flush() and delivered
+  // before the next.
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    for (std::size_t f = 0; f < 3; ++f) {
+      engine.push_frame(1, frames.row_view(f));
+    }
+    engine.flush(1);
+    wait_for(3 * (b + 1));
+  }
+
+  const std::uint64_t before = testhook::allocation_count();
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    for (std::size_t f = 0; f < options.batch_size; ++f) {
+      engine.push_frame(1, frames.row_view(f));
+    }
+    wait_for(12 + options.batch_size * (b + 1));
+  }
+  EXPECT_EQ(testhook::allocation_count() - before, 0u)
+      << "full batches after a short-batch warm-up must not touch the heap";
 }
 
 TEST(ZeroAlloc, WorkspaceGrowsOnlyWhenNeedGrows) {
