@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "numerics/blas.h"
 #include "numerics/gemm_f32.h"
 #include "obs/trace.h"
 #include "numerics/svd.h"
-#include "support/env.h"
 
 namespace eigenmaps::core {
 
@@ -38,6 +35,17 @@ numerics::Matrix sampled_basis_rows(const Basis& basis, std::size_t k,
     for (std::size_t j = 0; j < k; ++j) sampled(s, j) = row[j];
   }
   return sampled;
+}
+
+const ExpansionOptions& checked_expansion(const ExpansionOptions& expansion) {
+  // !(x >= 0) also rejects NaN, which would switch the publish gate off
+  // (measured > NaN is false).
+  if (!(expansion.fp32_error_budget >= 0.0 &&
+        expansion.fp32_error_budget <= 1.0)) {
+    throw std::invalid_argument(
+        "ReconstructionModel: fp32_error_budget outside [0, 1]");
+  }
+  return expansion;
 }
 
 /// Deterministic coefficient probe for the fp32 error measurement: a fixed
@@ -90,26 +98,6 @@ const char* expansion_backend_name(ExpansionBackend backend) {
   return "unknown";
 }
 
-ExpansionOptions default_expansion_options() {
-  ExpansionOptions opts;
-  if (const char* name = std::getenv("EIGENMAPS_EXPANSION_BACKEND");
-      name != nullptr && *name != '\0') {
-    const std::string value(name);
-    if (value == "dense64") {
-      opts.backend = ExpansionBackend::kDense64;
-    } else if (value == "fp32") {
-      opts.backend = ExpansionBackend::kFp32;
-    } else {
-      throw std::invalid_argument(
-          "EIGENMAPS_EXPANSION_BACKEND: unknown backend \"" + value +
-          "\" (expected dense64 or fp32)");
-    }
-  }
-  opts.fp32_error_budget = support::env_double_or(
-      "EIGENMAPS_FP32_ERROR_BUDGET", opts.fp32_error_budget, 0.0, 1.0);
-  return opts;
-}
-
 ReconstructionModel::SampledFactor ReconstructionModel::factor_sampled(
     const Basis& basis, std::size_t k, const SensorLocations& sensors) {
   numerics::Matrix sampled = sampled_basis_rows(basis, k, sensors);
@@ -127,18 +115,12 @@ ReconstructionModel::SampledFactor ReconstructionModel::factor_sampled(
 
 ReconstructionModel::ReconstructionModel(const Basis& basis, std::size_t k,
                                          SensorLocations sensors,
-                                         numerics::Vector mean_map)
-    : ReconstructionModel(basis, k, std::move(sensors), std::move(mean_map),
-                          ExpansionOptions{}) {}
-
-ReconstructionModel::ReconstructionModel(const Basis& basis, std::size_t k,
-                                         SensorLocations sensors,
                                          numerics::Vector mean_map,
                                          const ExpansionOptions& expansion)
     : k_(k),
       sensors_(std::move(sensors)),
       mean_map_(std::move(mean_map)),
-      expansion_(expansion),
+      expansion_(checked_expansion(expansion)),
       factor_(factor_sampled(basis, k, sensors_)) {
   if (mean_map_.size() != basis.cell_count()) {
     throw std::invalid_argument("ReconstructionModel: mean map size mismatch");

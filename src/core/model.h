@@ -39,25 +39,19 @@ struct ExpansionOptions {
   /// kFp32: the largest acceptable measured expansion error
   /// (max |fp32 - fp64| / max |fp64| over a deterministic probe batch).
   /// ModelRegistry::register_model throws when the measured error
-  /// exceeds it.
+  /// exceeds it. Must lie in [0, 1] whatever the backend.
   double fp32_error_budget = 1e-4;
 };
-
-/// ExpansionOptions resolved from the environment: backend from
-/// EIGENMAPS_EXPANSION_BACKEND ("dense64" / "fp32", default dense64) and
-/// budget from EIGENMAPS_FP32_ERROR_BUDGET. Malformed values throw
-/// (support/env.h).
-ExpansionOptions default_expansion_options();
 
 /// Everything a trained reconstruction needs, frozen at construction: the
 /// order-k basis slice V_k (held once, as the transpose V_k^T), the
 /// mean map, the sensor locations, the sampled basis Psi~ (sensors x k)
 /// and its QR factor. Construction throws std::invalid_argument when Psi~
-/// is rank deficient (Theorem 1's feasibility condition) or k exceeds the
-/// sensor count. Immutable after construction, so it is safe to share
-/// across threads and to hot-swap behind a registry without draining
-/// in-flight work — old jobs keep their shared_ptr, new jobs resolve the
-/// replacement.
+/// is rank deficient (Theorem 1's feasibility condition), k exceeds the
+/// sensor count, or fp32_error_budget lies outside [0, 1]. Immutable after
+/// construction, so it is safe to share across threads and to hot-swap
+/// behind a registry without draining in-flight work — old jobs keep
+/// their shared_ptr, new jobs resolve the replacement.
 ///
 /// The `_into` methods are the steady-state serving path: caller-provided
 /// outputs plus a reusable Workspace mean zero heap allocations per frame
@@ -65,15 +59,11 @@ ExpansionOptions default_expansion_options();
 /// delegate to them through a thread-local workspace.
 class ReconstructionModel {
  public:
-  /// Dense fp64 expansion (the historical constructor; golden paths build
-  /// through this and stay byte-identical).
-  ReconstructionModel(const Basis& basis, std::size_t k,
-                      SensorLocations sensors, numerics::Vector mean_map);
-  /// Expansion backend chosen per model. kDense64 options reproduce the
-  /// four-argument form exactly.
+  /// Expansion backend chosen per model; the default, dense fp64, is the
+  /// golden path and stays byte-identical.
   ReconstructionModel(const Basis& basis, std::size_t k,
                       SensorLocations sensors, numerics::Vector mean_map,
-                      const ExpansionOptions& expansion);
+                      const ExpansionOptions& expansion = {});
 
   std::size_t order() const { return k_; }
   std::size_t sensor_count() const { return sensors_.size(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/reconstructor.h"
 
@@ -15,6 +16,20 @@ OrderSelection select_order(const Basis& basis, const SensorLocations& sensors,
   if (maps.rows() == 0) {
     throw std::invalid_argument("select_order: no validation maps");
   }
+  // Shape errors fail here: inside the loop every std::invalid_argument
+  // reads as "rank deficient at this order".
+  const std::size_t cells = basis.cell_count();
+  const auto check = [cells](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument("select_order: " + std::string(what) +
+                                  " (the basis has " + std::to_string(cells) +
+                                  " cells)");
+    }
+  };
+  check(mean_map.size() == cells, "mean map size mismatch");
+  check(maps.cols() == cells, "validation map width mismatch");
+  for (const std::size_t s : sensors) check(s < cells, "sensor out of range");
+
   std::size_t stride = options.validation_stride;
   if (stride == 0) stride = std::max<std::size_t>(1, maps.rows() / 128);
 
@@ -30,17 +45,12 @@ OrderSelection select_order(const Basis& basis, const SensorLocations& sensors,
   const std::size_t top =
       std::min({k_max, sensors.size(), basis.max_order()});
 
-  // Resolve the expansion backend once, outside the feasibility loop: a
-  // malformed EIGENMAPS_EXPANSION_BACKEND/… throws here naming the
-  // variable instead of being swallowed as "rank deficient at k".
-  const ExpansionOptions expansion = default_expansion_options();
-
   OrderSelection best;
   bool found = false;
   for (std::size_t k = 1; k <= top; ++k) {
     double mse = 0.0;
     try {
-      const Reconstructor rec(basis, k, sensors, mean_map, expansion);
+      const Reconstructor rec(basis, k, sensors, mean_map);
       if (noisy) {
         // Same seed for every k: candidates face identical noise draws.
         NoiseModel noise(options.snr_db, options.signal_energy_per_cell,

@@ -16,17 +16,11 @@ namespace eigenmaps::core {
 /// one trained model without copying its subspace.
 class Reconstructor {
  public:
-  /// Expansion backend from the environment (default_expansion_options):
-  /// dense64 unless EIGENMAPS_EXPANSION_BACKEND opts into fp32,
-  /// so existing builds stay byte-identical with no env set.
+  /// Expansion backend chosen per model (DESIGN.md §14); the default,
+  /// dense fp64, is the golden path.
   Reconstructor(const Basis& basis, std::size_t k, SensorLocations sensors,
-                numerics::Vector mean_map)
-      : Reconstructor(basis, k, std::move(sensors), std::move(mean_map),
-                      default_expansion_options()) {}
-
-  /// Explicit per-model expansion backend (DESIGN.md §14).
-  Reconstructor(const Basis& basis, std::size_t k, SensorLocations sensors,
-                numerics::Vector mean_map, const ExpansionOptions& expansion)
+                numerics::Vector mean_map,
+                const ExpansionOptions& expansion = {})
       : model_(std::make_shared<const ReconstructionModel>(
             basis, k, std::move(sensors), std::move(mean_map), expansion)) {}
 

@@ -274,7 +274,8 @@ RegisterModelMsg decode_register_model(const std::uint8_t* data,
   }
   msg.expansion.backend = static_cast<core::ExpansionBackend>(backend);
   msg.expansion.fp32_error_budget = r.f64();
-  // Same range as EIGENMAPS_FP32_ERROR_BUDGET; !(x >= 0) also rejects NaN.
+  // The range the ReconstructionModel constructor enforces, checked here
+  // so wire bytes fail as a ProtocolError; !(x >= 0) also rejects NaN.
   if (!(msg.expansion.fp32_error_budget >= 0.0 &&
         msg.expansion.fp32_error_budget <= 1.0)) {
     throw ProtocolError("dist: fp32 error budget outside [0, 1]");

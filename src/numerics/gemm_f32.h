@@ -9,7 +9,7 @@
 // bitwise contract — portable/AVX2/AVX-512 may differ in fp32 last bits —
 // but each tier is fully deterministic and the end-to-end expansion error
 // is measured against the fp64 operator at model build and enforced
-// against EIGENMAPS_FP32_ERROR_BUDGET at publish time.
+// against the model's ExpansionOptions::fp32_error_budget at publish time.
 #ifndef EIGENMAPS_NUMERICS_GEMM_F32_H
 #define EIGENMAPS_NUMERICS_GEMM_F32_H
 

@@ -7,7 +7,6 @@
 #include "core/metrics.h"
 #include "core/model.h"
 #include "obs/event_log.h"
-#include "support/env.h"
 
 namespace eigenmaps::online {
 
@@ -25,21 +24,6 @@ std::shared_ptr<const core::ReconstructionModel> resolve_model_or_throw(
 }
 
 }  // namespace
-
-AdaptationOptions AdaptationOptions::with_env() {
-  return with_env(AdaptationOptions());
-}
-
-AdaptationOptions AdaptationOptions::with_env(AdaptationOptions base) {
-  base.drift = DriftOptions::with_env(base.drift);
-  base.reservoir.capacity = support::env_size_or(
-      "EIGENMAPS_RETRAIN_RESERVOIR", base.reservoir.capacity, 1);
-  base.min_snapshots = support::env_size_or("EIGENMAPS_RETRAIN_MIN_SNAPSHOTS",
-                                            base.min_snapshots, 1);
-  base.expanded_stride = support::env_size_or("EIGENMAPS_RETRAIN_STRIDE",
-                                              base.expanded_stride, 1);
-  return base;
-}
 
 AdaptationController::AdaptationController(runtime::ModelRegistry& registry,
                                            runtime::ModelId model,
@@ -326,10 +310,10 @@ AdaptationController::RetrainOutcome AdaptationController::retrain_once() {
     // against the fresh basis, and the ceiling re-checks conditioning —
     // the sensors are hardware, so a placement the new basis cannot
     // support must fail the retrain, not move the sensors. The expansion
-    // backend follows the model being replaced, not the environment: an
-    // fp32 model stays fp32 across retrains, and an fp32 replacement the
-    // fresh basis pushes over its error budget fails at register_model
-    // below (counted as a failed retrain, old model keeps serving).
+    // backend follows the model being replaced: an fp32 model stays fp32
+    // across retrains, and an fp32 replacement the fresh basis pushes
+    // over its error budget fails at register_model below (counted as a
+    // failed retrain, old model keeps serving).
     auto fresh = std::make_shared<const core::ReconstructionModel>(
         basis, k, current->sensors(), training.mean(),
         current->expansion_options());

@@ -32,14 +32,11 @@
 
 namespace eigenmaps::online {
 
-/// Environment overrides (applied by with_env, on top of the DriftOptions
-/// ones): EIGENMAPS_RETRAIN_RESERVOIR, EIGENMAPS_RETRAIN_MIN_SNAPSHOTS,
-/// EIGENMAPS_RETRAIN_STRIDE.
 struct AdaptationOptions {
   /// Reservoir of candidate training maps (see StreamingSnapshotSet).
   StreamingSnapshotOptions reservoir;
   /// Drift detection over the per-frame held-out residual.
-  DriftOptions drift = DriftOptions::with_env();
+  DriftOptions drift;
   /// Sensor slots (indices into the model's sensor list) whose residuals
   /// the detector watches; empty = every slot. Pushing frames with these
   /// slots masked out of the solve makes the statistic genuinely held out.
@@ -65,11 +62,6 @@ struct AdaptationOptions {
   /// rejected (retrain counted failed, no swap) — same convention as
   /// FactorCacheOptions::condition_ceiling.
   double condition_ceiling = 1e8;
-
-  /// Defaults / `base` with the EIGENMAPS_RETRAIN_* (and nested
-  /// EIGENMAPS_DRIFT_*) environment overrides applied.
-  static AdaptationOptions with_env();
-  static AdaptationOptions with_env(AdaptationOptions base);
 };
 
 struct AdaptationStats {
@@ -97,7 +89,7 @@ class AdaptationController final : public runtime::BatchObserver {
   /// holdout slot is out of range for it.
   AdaptationController(runtime::ModelRegistry& registry,
                        runtime::ModelId model,
-                       AdaptationOptions options = AdaptationOptions::with_env());
+                       AdaptationOptions options = {});
   ~AdaptationController() override;
 
   AdaptationController(const AdaptationController&) = delete;

@@ -3,21 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/env.h"
-
 namespace eigenmaps::online {
-
-DriftOptions DriftOptions::with_env() { return with_env(DriftOptions()); }
-
-DriftOptions DriftOptions::with_env(DriftOptions base) {
-  base.threshold = support::env_double_or("EIGENMAPS_DRIFT_THRESHOLD",
-                                          base.threshold, 1e-12, 1e300);
-  base.slack =
-      support::env_double_or("EIGENMAPS_DRIFT_SLACK", base.slack, 0.0, 1e300);
-  base.warmup_frames =
-      support::env_size_or("EIGENMAPS_DRIFT_WARMUP", base.warmup_frames, 1);
-  return base;
-}
 
 DriftDetector::DriftDetector(DriftOptions options) : options_(options) {}
 

@@ -15,8 +15,6 @@
 
 namespace eigenmaps::online {
 
-/// Environment overrides (applied by with_env): EIGENMAPS_DRIFT_THRESHOLD,
-/// EIGENMAPS_DRIFT_SLACK, EIGENMAPS_DRIFT_WARMUP.
 struct DriftOptions {
   /// Residuals observed before the baseline (mean, sigma) is frozen and
   /// the CUSUM armed. Clamped to at least 2.
@@ -31,11 +29,6 @@ struct DriftOptions {
   /// Floor on the baseline sigma, guarding the noiseless-calibration case
   /// (a zero-variance warmup would make any deviation an instant alarm).
   double min_sigma = 1e-9;
-
-  /// Defaults / `base` with the EIGENMAPS_DRIFT_* environment overrides
-  /// applied.
-  static DriftOptions with_env();
-  static DriftOptions with_env(DriftOptions base);
 };
 
 struct DriftStats {
@@ -59,7 +52,7 @@ struct DriftStats {
 /// relearned, which also gives the retrainer a natural alarm cooldown.
 class DriftDetector {
  public:
-  explicit DriftDetector(DriftOptions options = DriftOptions::with_env());
+  explicit DriftDetector(DriftOptions options = {});
 
   const DriftOptions& options() const { return options_; }
 

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "obs/event_log.h"
-#include "support/env.h"
 
 namespace eigenmaps::runtime {
 
@@ -26,7 +25,7 @@ std::uint64_t ModelRegistry::register_model(
         "ModelRegistry::register_model: model " + std::to_string(id) +
         " fp32 expansion error " +
         std::to_string(model->fp32_measured_error()) +
-        " exceeds EIGENMAPS_FP32_ERROR_BUDGET " +
+        " exceeds fp32_error_budget " +
         std::to_string(model->expansion_options().fp32_error_budget));
   }
   // Build the entry (and its cache's full-R seed) outside the lock.
@@ -92,19 +91,6 @@ std::vector<ModelId> ModelRegistry::ids() const {
 std::size_t ModelRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return models_.size();
-}
-
-core::FactorCacheOptions ModelRegistry::default_cache_options() {
-  // Loud parsing (support/env.h): a malformed or out-of-range override —
-  // EIGENMAPS_FACTOR_CACHE_CAPACITY=abc, a negative capacity, a ceiling
-  // below 1 — throws here instead of silently serving the default.
-  core::FactorCacheOptions options;
-  options.capacity = support::env_size_or("EIGENMAPS_FACTOR_CACHE_CAPACITY",
-                                          options.capacity, 1);
-  options.condition_ceiling =
-      support::env_double_or("EIGENMAPS_CONDITION_CEILING",
-                             options.condition_ceiling, 1.0, 1e300);
-  return options;
 }
 
 }  // namespace eigenmaps::runtime

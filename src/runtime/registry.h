@@ -34,10 +34,8 @@ struct RegisteredModel {
 /// no drain, no lock held during a solve.
 class ModelRegistry {
  public:
-  /// `cache_options` seeds every registered model's FactorCache; defaults
-  /// come from default_cache_options() (environment-overridable).
-  explicit ModelRegistry(
-      core::FactorCacheOptions cache_options = default_cache_options())
+  /// `cache_options` seeds every registered model's FactorCache.
+  explicit ModelRegistry(core::FactorCacheOptions cache_options = {})
       : cache_options_(cache_options) {}
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -76,10 +74,6 @@ class ModelRegistry {
 
   std::vector<ModelId> ids() const;
   std::size_t size() const;
-
-  /// FactorCacheOptions with environment overrides applied:
-  /// EIGENMAPS_FACTOR_CACHE_CAPACITY, EIGENMAPS_CONDITION_CEILING.
-  static core::FactorCacheOptions default_cache_options();
 
  private:
   const core::FactorCacheOptions cache_options_;

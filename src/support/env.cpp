@@ -1,5 +1,6 @@
 #include "support/env.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
@@ -20,10 +21,11 @@ std::optional<std::size_t> env_size(const char* name, std::size_t min,
                                     std::size_t max) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return std::nullopt;
-  // strtoull silently wraps negatives ("-1" -> huge); reject the sign
-  // explicitly so out-of-range is reported as such.
+  // strtoull skips any leading whitespace and silently wraps negatives
+  // ("\t-1" -> huge); reject the sign explicitly, after the same skip, so
+  // out-of-range is reported as such.
   const char* p = raw;
-  while (*p == ' ') ++p;
+  while (std::isspace(static_cast<unsigned char>(*p))) ++p;
   if (*p == '-') fail(name, raw, "a non-negative integer");
   errno = 0;
   char* end = nullptr;
@@ -38,31 +40,9 @@ std::optional<std::size_t> env_size(const char* name, std::size_t min,
   return static_cast<std::size_t>(value);
 }
 
-std::optional<double> env_double(const char* name, double min, double max) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') fail(name, raw, "a number");
-  if (errno == ERANGE || !(value >= min) || !(value <= max)) {
-    // !(>=) also catches NaN.
-    fail(name, raw,
-         ("a number in [" + std::to_string(min) + ", " + std::to_string(max) +
-          "]")
-             .c_str());
-  }
-  return value;
-}
-
 std::size_t env_size_or(const char* name, std::size_t fallback,
                         std::size_t min, std::size_t max) {
   return env_size(name, min, max).value_or(fallback);
-}
-
-double env_double_or(const char* name, double fallback, double min,
-                     double max) {
-  return env_double(name, min, max).value_or(fallback);
 }
 
 std::optional<std::size_t> env_choice(

@@ -1,6 +1,6 @@
 // One parser for every EIGENMAPS_* environment knob. Every call site used
 // to hand-roll strtol/strtod with its own (usually silent) fallback; a
-// typo like EIGENMAPS_THREADS=abc or a negative cache capacity would
+// typo like EIGENMAPS_THREADS=abc or a negative EIGENMAPS_TRACE_RING would
 // quietly serve defaults in production. Here malformed or out-of-range
 // values throw std::invalid_argument naming the variable and the offending
 // text, so a misconfigured deployment dies at startup instead of running
@@ -21,17 +21,10 @@ namespace eigenmaps::support {
 std::optional<std::size_t> env_size(const char* name, std::size_t min,
                                     std::size_t max = static_cast<std::size_t>(-1));
 
-/// `name` parsed as a double in [min, max]; same unset/throw contract.
-std::optional<double> env_double(const char* name, double min, double max);
-
 /// env_size with a fallback: the parsed value, or `fallback` when unset.
 std::size_t env_size_or(const char* name, std::size_t fallback,
                         std::size_t min,
                         std::size_t max = static_cast<std::size_t>(-1));
-
-/// env_double with a fallback.
-double env_double_or(const char* name, double fallback, double min,
-                     double max);
 
 /// `name` matched against `choices` (exact, case-sensitive); returns the
 /// matching index, nullopt when unset or empty. Throws std::invalid_argument

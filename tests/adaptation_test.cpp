@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -157,19 +156,6 @@ TEST(DriftDetector, MeanShiftAlarmsOnceAndRecalibrates) {
   }
   EXPECT_EQ(detector.stats().alarms, 1u);
   EXPECT_NEAR(detector.stats().baseline_mean, 8.0, 0.05);
-}
-
-TEST(DriftDetector, EnvironmentKnobsOverrideDefaults) {
-  setenv("EIGENMAPS_DRIFT_THRESHOLD", "12.5", 1);
-  setenv("EIGENMAPS_DRIFT_SLACK", "0.25", 1);
-  setenv("EIGENMAPS_DRIFT_WARMUP", "37", 1);
-  const online::DriftOptions options = online::DriftOptions::with_env();
-  unsetenv("EIGENMAPS_DRIFT_THRESHOLD");
-  unsetenv("EIGENMAPS_DRIFT_SLACK");
-  unsetenv("EIGENMAPS_DRIFT_WARMUP");
-  EXPECT_DOUBLE_EQ(options.threshold, 12.5);
-  EXPECT_DOUBLE_EQ(options.slack, 0.25);
-  EXPECT_EQ(options.warmup_frames, 37u);
 }
 
 // ---- Warm-started orthogonal iteration ---------------------------------

@@ -5,12 +5,10 @@
 // memory accounting, and the log-linear latency histogram's bucket math
 // and interpolated quantiles.
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +17,6 @@
 #include "core/dct_basis.h"
 #include "core/factor_cache.h"
 #include "core/model.h"
-#include "core/reconstructor.h"
 #include "numerics/gemm_f32.h"
 #include "numerics/isa.h"
 #include "numerics/rng.h"
@@ -207,6 +204,21 @@ TEST(Fp32Backend, RegistryRejectsOverBudgetModelLoudly) {
   ok.backend = core::ExpansionBackend::kFp32;
   registry.register_model(7, fx.model(ok));
   EXPECT_NE(registry.resolve(7), nullptr);
+
+  // A budget outside [0, 1] never builds, whatever the backend: NaN would
+  // switch the publish gate off (measured > NaN is false).
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1e-6,
+                           1.5, std::numeric_limits<double>::infinity()}) {
+    for (const auto backend : {core::ExpansionBackend::kDense64,
+                               core::ExpansionBackend::kFp32}) {
+      core::ExpansionOptions opts;
+      opts.backend = backend;
+      opts.fp32_error_budget = bad;
+      EXPECT_THROW(fx.model(opts), std::invalid_argument)
+          << "budget " << bad << " on "
+          << core::expansion_backend_name(backend);
+    }
+  }
 }
 
 TEST(Model, SubspaceIsTheBasisSliceBitwiseOnEveryBackend) {
@@ -284,47 +296,6 @@ TEST(Backends, MemoryAccountingAndEngineGauges) {
   EXPECT_EQ(m2.dense_expansion_bytes + m2.fp32_expansion_bytes,
             k * n * sizeof(double) + k * n * sizeof(float) +
                 n * sizeof(float));
-}
-
-TEST(ExpansionOptions, ResolvedFromEnvironment) {
-  ::setenv("EIGENMAPS_EXPANSION_BACKEND", "fp32", 1);
-  ::setenv("EIGENMAPS_FP32_ERROR_BUDGET", "1e-5", 1);
-  const core::ExpansionOptions opts = core::default_expansion_options();
-  EXPECT_EQ(opts.backend, core::ExpansionBackend::kFp32);
-  EXPECT_DOUBLE_EQ(opts.fp32_error_budget, 1e-5);
-
-  // Unknown names, the retired sparse64 among them, throw naming the
-  // variable.
-  for (const char* name : {"sparse64", "float16"}) {
-    ::setenv("EIGENMAPS_EXPANSION_BACKEND", name, 1);
-    try {
-      core::default_expansion_options();
-      ADD_FAILURE() << name << " was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("EIGENMAPS_EXPANSION_BACKEND"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-
-  // The Reconstructor front end resolves the environment at build, so
-  // the backend is a deploy-time opt-in with no code change.
-  ::setenv("EIGENMAPS_EXPANSION_BACKEND", "fp32", 1);
-  const core::DctBasis basis(16, 14, 10);
-  const numerics::Vector mean(basis.cell_count(), 45.0);
-  const core::SensorLocations sensors =
-      core::allocate_greedy(basis, 8, 16);
-  const core::Reconstructor env_rec(basis, 8, sensors, mean);
-  EXPECT_EQ(env_rec.model()->expansion_backend(),
-            core::ExpansionBackend::kFp32);
-
-  ::unsetenv("EIGENMAPS_EXPANSION_BACKEND");
-  ::unsetenv("EIGENMAPS_FP32_ERROR_BUDGET");
-  EXPECT_EQ(core::default_expansion_options().backend,
-            core::ExpansionBackend::kDense64);
-  const core::Reconstructor plain_rec(basis, 8, sensors, mean);
-  EXPECT_EQ(plain_rec.model()->expansion_backend(),
-            core::ExpansionBackend::kDense64);
 }
 
 TEST(LatencyHistogram, LogLinearBucketMath) {

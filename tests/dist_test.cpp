@@ -331,13 +331,13 @@ TEST(DistProtocol, RegisterModelRoundTripRebuildsBitIdenticalModel) {
                  dist::ProtocolError)
         << "backend byte " << int{bad};
   }
+  // No model holds such a budget (its constructor throws), so write each
+  // bad value over the encoded one.
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1e-6,
                            1.5, std::numeric_limits<double>::infinity()}) {
-    core::ExpansionOptions opts = fp32_opts;
-    opts.fp32_error_budget = bad;  // the model stores it unchecked
-    dist::encode_register_model(
-        5, core::ReconstructionModel(fx.basis, 8, fx.sensors, fx.mean, opts),
-        payload);
+    dist::encode_register_model(5, *fp32, payload);
+    std::memcpy(payload.data() + payload.size() - sizeof bad, &bad,
+                sizeof bad);
     EXPECT_THROW(dist::decode_register_model(payload.data(), payload.size()),
                  dist::ProtocolError)
         << "budget " << bad;

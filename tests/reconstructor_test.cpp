@@ -95,6 +95,18 @@ TEST(SelectOrder, FindsTheTrueOrderOnCleanSubspaceData) {
   // winner is at least the true order and its error is ~machine epsilon.
   EXPECT_GE(sel.k, true_k);
   EXPECT_LT(sel.validation_mse, 1e-16);
+
+  // A shape mismatch is a caller error, not "no feasible order".
+  const numerics::Vector short_mean(basis.cell_count() - 1, 20.0);
+  EXPECT_THROW(core::select_order(basis, sensors, short_mean, maps, 10),
+               std::invalid_argument);
+  const numerics::Matrix narrow(maps.rows(), maps.cols() - 3, 20.0);
+  EXPECT_THROW(core::select_order(basis, sensors, mean, narrow, 10),
+               std::invalid_argument);
+  core::SensorLocations outside = sensors;
+  outside.back() = basis.cell_count();
+  EXPECT_THROW(core::select_order(basis, outside, mean, maps, 10),
+               std::invalid_argument);
 }
 
 TEST(NoiseModel, SigmaMatchesTheSnrDefinition) {

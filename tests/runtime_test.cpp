@@ -658,8 +658,7 @@ TEST(ReconstructionEngine, HotSwapUnderLiveMaskServesNoStaleFactor) {
   for (std::size_t f = 0; f < 4; ++f) {
     second_half.set_row(f, frames.row_view(f + 4));
   }
-  core::FactorCache fresh_v2(rec_v2.model(),
-                             runtime::ModelRegistry::default_cache_options());
+  core::FactorCache fresh_v2(rec_v2.model(), core::FactorCacheOptions{});
   const numerics::Matrix expect =
       fresh_v2.reconstruct_batch(second_half, mask);
   std::lock_guard<std::mutex> lock(delivered_mutex);
