@@ -886,7 +886,7 @@ int main(int argc, char** argv) {
       router.register_model(1, rec.model());
 
       // Open-loop traffic; a third of the way in, SIGKILL shard 0 and keep
-      // pushing while the router fails over and the supervisor respawns.
+      // pushing while the router fails over and respawns it.
       double t_kill = 0.0, t_down = 0.0, t_restored = 0.0;
       std::size_t frames_at_restore = 0;
       for (std::size_t f = 0; f < kDistFrames; ++f) {

@@ -1,6 +1,7 @@
 #include "core/factor_cache.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "numerics/svd.h"
@@ -154,6 +155,14 @@ FactorCache::FactorCache(std::shared_ptr<const ReconstructionModel> model,
       }()) {
   if (!model_) {
     throw std::invalid_argument("FactorCache: null model");
+  }
+  if (std::isnan(options_.rank_tolerance)) {
+    throw std::invalid_argument("FactorCacheOptions: rank_tolerance is NaN");
+  }
+  if (!(options_.condition_ceiling >= 1.0)) {  // NaN fails too
+    throw std::invalid_argument(
+        "FactorCacheOptions: condition_ceiling must be at least 1 (+inf for "
+        "no ceiling)");
   }
   // Borrows the model's own factor — bit-identical to the undegraded
   // path, no duplicate factorization.

@@ -96,6 +96,7 @@ struct FactorCacheOptions {
   /// Masks whose factor conditions worse than this are rejected: past the
   /// ceiling the reconstruction amplifies sensor noise beyond use (Fig. 5)
   /// and the caller should fall back (fewer orders, interpolation, ...).
+  /// +inf means no ceiling; below 1 or NaN is rejected at construction.
   double condition_ceiling = 1e8;
   /// Kept only so the frozen serving ledger (perfbench/serve.cpp) still
   /// compiles; always 0: every mask refactors.
@@ -178,7 +179,8 @@ class MaskedFactor {
 /// plus the degraded-mode reconstruction entry point. Throws
 /// std::invalid_argument when a mask cannot be served: fewer survivors
 /// than the model order or a rank-deficient survivor set (Theorem 1), or
-/// conditioning past the ceiling.
+/// conditioning past the ceiling. The constructor throws it for a NaN
+/// rank_tolerance and a condition_ceiling below 1 or NaN.
 class FactorCache {
  public:
   explicit FactorCache(std::shared_ptr<const ReconstructionModel> model,

@@ -1,13 +1,17 @@
 #include "dist/router.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
+#include <thread>
 
 #include <fcntl.h>
 #include <signal.h>
 #include <stdlib.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,13 +36,39 @@ std::uint64_t mix64(std::uint64_t x) {
 
 using Clock = std::chrono::steady_clock;
 
+/// SIGKILLs a worker (a no-op if it already exited) and reaps it.
+void kill_and_reap(pid_t pid) {
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+}
+
+/// Receives the next message of a starting life other than a heartbeat,
+/// and throws TransportError unless it has type `want`.
+void expect_message(MessageConnection& conn, MessageType want,
+                    std::vector<std::uint8_t>& payload, const char* what) {
+  MessageType type;
+  do {
+    if (conn.recv(type, payload) != RecvStatus::kOk) {
+      throw TransportError(std::string("ShardRouter: worker closed or went "
+                                       "silent before its ") +
+                           what);
+    }
+  } while (type == MessageType::kHeartbeat);
+  if (type != want) {
+    throw TransportError(std::string("ShardRouter: worker sent message type ") +
+                         std::to_string(static_cast<unsigned>(type)) +
+                         " instead of its " + what);
+  }
+}
+
 }  // namespace
 
 /// Per-stream routing state. Two independent mutexes split the ingest and
 /// delivery sides so neither can block the other: a producer blocked in a
-/// socket send (ingest) must never stop a reader from delivering results
-/// and acking the replay log (delivery) — that ack flow is what un-wedges
-/// the producer.
+/// socket send (ingest) must never stop a slot thread from delivering
+/// results and acking the replay log (delivery) — that ack flow is what
+/// un-wedges the producer.
 struct ShardRouter::StreamRoute {
   /// Serializes seq assignment + replay append + send, so frames of one
   /// stream hit the wire in seq order. The failure handler takes it while
@@ -72,19 +102,14 @@ struct ShardRouter::StreamRoute {
 
 struct ShardRouter::Shard {
   std::uint32_t index = 0;
-  pid_t pid = -1;  // guarded by state_mutex_ (a respawn rewrites it)
-  /// Guarded by state_mutex_: senders snapshot the shared_ptr under the
-  /// lock, then send outside it — a respawn can swap in a fresh connection
-  /// while an old snapshot is still mid-send on the dead one.
-  std::shared_ptr<MessageConnection> conn;
-  /// Guarded by state_mutex_: the result arena of a spawned life whose
-  /// reader has not started yet; the reader takes it over.
-  std::unique_ptr<ResultArena> arena;
-  std::thread reader;
 
   // Guarded by state_mutex_:
+  pid_t pid = -1;  // the current life's worker; -1 once reaped
+  /// Senders snapshot the shared_ptr under the lock, then send outside it
+  /// — a respawn can swap in a fresh connection while an old snapshot is
+  /// still mid-send on the dead one.
+  std::shared_ptr<MessageConnection> conn;
   bool alive = false;
-  Clock::time_point last_heard;
   runtime::EngineStats last_stats;
   std::uint64_t stats_generation = 0;
   std::uint64_t drain_done_token = 0;
@@ -93,18 +118,27 @@ struct ShardRouter::Shard {
 
   // Self-healing bookkeeping, guarded by state_mutex_:
   std::size_t respawn_attempts = 0;  // consecutive failed lives (flaps)
-  bool respawn_pending = false;      // armed, waiting for backoff expiry
-  bool respawn_inflight = false;     // an attempt is running right now
   bool respawn_abandoned = false;    // gave up on this slot
-  Clock::time_point respawn_at{};    // when the pending attempt may start
-  Clock::time_point rejoined_at{};   // last successful rejoin (flap reset)
+  Clock::time_point rejoined_at{};   // when the current life joined
+
+  /// Serves every life of this slot in turn (run_slot).
+  std::thread thread;
+};
+
+struct ShardRouter::Life {
+  std::shared_ptr<MessageConnection> conn;
+  std::unique_ptr<ResultArena> arena;
+  /// A respawned life's migrate-back replay, sent while the slot thread
+  /// serves the life: the fresh worker can only absorb so many frames
+  /// before the router must read and release its results.
+  std::thread migrate_back;
 };
 
 RouterOptions ShardRouter::validate(RouterOptions options) {
   // Every rejection happens here, before any fork/exec or socket work, so
   // a misconfigured router fails with the reason instead of a downstream
   // symptom (a ReplayLog throw, a worker that exits on bad argv, a
-  // heartbeat monitor that declares everything dead instantly).
+  // receive deadline that declares everything dead instantly).
   if (options.shard_count == 0) {
     throw std::invalid_argument("ShardRouter: shard_count must be positive");
   }
@@ -140,76 +174,34 @@ ShardRouter::ShardRouter(RouterOptions options, ResultCallback on_result)
     : options_(validate(std::move(options))),
       on_result_(std::move(on_result)),
       replay_(options_.replay_capacity) {
-  socket_path_ = options_.socket_dir + "/eigenmaps-router-" +
-                 std::to_string(::getpid()) + "-" +
-                 std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-                 ".sock";
-  listener_ = std::make_unique<UnixListener>(socket_path_);
-
+  std::vector<Life> lives;
   try {
     shards_.reserve(options_.shard_count);
     for (std::size_t i = 0; i < options_.shard_count; ++i) {
       shards_.push_back(std::make_unique<Shard>());
       shards_[i]->index = static_cast<std::uint32_t>(i);
-      spawn_worker(i);
     }
-
-    // Hello handshake: workers connect in any order and identify
-    // themselves.
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(options_.connect_timeout_ms);
-    std::size_t connected = 0;
-    while (connected < options_.shard_count) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - Clock::now());
-      if (left.count() <= 0) {
-        throw TransportError("ShardRouter: workers failed to connect in time");
-      }
-      Socket sock = listener_->accept(static_cast<int>(left.count()));
-      if (!sock.valid()) continue;
-      auto conn = std::make_shared<MessageConnection>(std::move(sock));
-      MessageType type;
-      std::vector<std::uint8_t> payload;
-      if (conn->recv(type, payload) != RecvStatus::kOk ||
-          type != MessageType::kHello) {
-        throw TransportError("ShardRouter: bad hello from worker");
-      }
-      const HelloMsg hello = decode_hello(payload.data(), payload.size());
-      if (hello.shard >= shards_.size() || shards_[hello.shard]->conn) {
-        throw TransportError(
-            "ShardRouter: duplicate or out-of-range shard id");
-      }
-      Shard& shard = *shards_[hello.shard];
-      shard.conn = std::move(conn);
-      shard.alive = true;
-      shard.last_heard = Clock::now();
-      ++connected;
+    // Fork every worker before awaiting any hello, so their startups
+    // overlap. No stream is routed yet, so none migrates.
+    for (auto& shard : shards_) lives.push_back(start_life(*shard));
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      join_life(*shards_[i], lives[i]);
     }
   } catch (...) {
     // The destructor will not run for a throwing constructor: reap every
-    // child already spawned so a failed startup leaks no processes.
+    // worker already forked so a failed startup leaks no processes (a
+    // failed join_life has reaped its own).
     for (auto& shard : shards_) {
-      if (shard->pid <= 0) continue;
-      ::kill(shard->pid, SIGKILL);
-      int status = 0;
-      ::waitpid(shard->pid, &status, 0);
+      if (shard->pid > 0) kill_and_reap(shard->pid);
     }
     throw;
   }
-  // The listener stays open for the router's whole life: a respawned
-  // worker re-connects through the same socket path.
-
-  rebuild_ring();
-  for (auto& shard : shards_) {
-    Shard* s = shard.get();
-    s->reader = std::thread(
-        [this, s, conn = s->conn, arena = std::move(s->arena)]() mutable {
-          reader_loop(s->index, conn, std::move(arena));
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard* shard = shards_[i].get();
+    shard->thread =
+        std::thread([this, shard, life = std::move(lives[i])]() mutable {
+          run_slot(*shard, std::move(life));
         });
-  }
-  monitor_ = std::thread([this] { monitor_loop(); });
-  if (options_.respawn_max_attempts > 0) {
-    respawner_ = std::thread([this] { respawn_loop(); });
   }
 }
 
@@ -228,13 +220,10 @@ ShardRouter::~ShardRouter() {
     std::lock_guard<std::mutex> lock(state_mutex_);
     shutting_down_ = true;
   }
-  state_cv_.notify_all();
+  state_cv_.notify_all();  // also cuts a slot thread's backoff short
   replay_.fail();  // release any producer blocked on back-pressure
-  // Wake a respawn attempt blocked in accept(); the fd stays owned, so an
-  // in-flight accept cannot race a reused descriptor.
-  if (listener_) listener_->close();
 
-  std::vector<std::uint8_t> payload;
+  const std::vector<std::uint8_t> payload;  // empty shutdown payload
   for (auto& shard : shards_) {
     std::shared_ptr<MessageConnection> conn;
     {
@@ -242,42 +231,29 @@ ShardRouter::~ShardRouter() {
       conn = shard->conn;
     }
     if (!conn) continue;
-    WireWriter writer(payload);  // empty shutdown payload
     conn->send(MessageType::kShutdown, payload);
-    // Also wakes a respawn attempt blocked in a teach-phase recv on this
-    // connection (it was installed in shard->conn before the first recv).
+    // Wakes the slot thread wherever it waits on this socket: serving a
+    // life, or a starting life's hello or re-teach.
     conn->shutdown();
   }
-  if (monitor_.joinable()) monitor_.join();
-  // The respawner starts reader threads, so it must be gone before the
-  // readers are joined.
-  if (respawner_.joinable()) respawner_.join();
-  for (auto& shard : shards_) {
-    if (shard->reader.joinable()) shard->reader.join();
-  }
-  for (auto& shard : shards_) {
-    if (shard->pid <= 0) continue;
-    // Give the worker a moment to exit cleanly, then make sure.
-    int status = 0;
-    for (int i = 0; i < 200; ++i) {
-      const pid_t done = ::waitpid(shard->pid, &status, WNOHANG);
-      if (done == shard->pid || done < 0) {
-        shard->pid = -1;
-        break;
-      }
-      ::usleep(5000);
-    }
-    if (shard->pid > 0) {
-      ::kill(shard->pid, SIGKILL);
-      ::waitpid(shard->pid, &status, 0);
-    }
-  }
+  // Each slot thread reaps its own worker on the way out.
+  for (auto& shard : shards_) shard->thread.join();
 }
 
-void ShardRouter::spawn_worker(std::size_t shard) {
-  std::unique_ptr<ResultArena> arena = ResultArena::create();
-  const std::string arena_arg = std::to_string(arena->fd());
-  const std::string shard_arg = std::to_string(shard);
+ShardRouter::Life ShardRouter::start_life(Shard& shard) {
+  Life life;
+  life.arena = ResultArena::create();
+  int ends[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
+    throw TransportError(std::string("ShardRouter: socketpair: ") +
+                         std::strerror(errno));
+  }
+  Socket worker_end(ends[1]);
+  life.conn = std::make_shared<MessageConnection>(Socket(ends[0]));
+  life.conn->set_recv_timeout(options_.connect_timeout_ms);
+  const std::string socket_arg = std::to_string(worker_end.fd());
+  const std::string arena_arg = std::to_string(life.arena->fd());
+  const std::string shard_arg = std::to_string(shard.index);
   const std::string threads_arg = std::to_string(options_.worker_threads);
   const std::string batch_arg = std::to_string(options_.batch_size);
   const std::string heartbeat_arg =
@@ -290,12 +266,14 @@ void ShardRouter::spawn_worker(std::size_t shard) {
     // must not leak into the worker or its engine destructor would append
     // a duplicate copy of every span.
     ::unsetenv("EIGENMAPS_TRACE_OUT");
-    // Every arena fd is close-on-exec; only this life's own survives the
-    // exec, so no worker can see a sibling shard's results.
-    ::fcntl(arena->fd(), F_SETFD, 0);
+    // Every arena and socket fd is close-on-exec; only this life's own
+    // two survive the exec, so no worker can see a sibling's results or
+    // keep a sibling's socket open past that sibling's death.
+    ::fcntl(worker_end.fd(), F_SETFD, 0);
+    ::fcntl(life.arena->fd(), F_SETFD, 0);
     // execv only returns on failure.
     const char* argv[] = {options_.worker_binary.c_str(),
-                          socket_path_.c_str(),
+                          socket_arg.c_str(),
                           shard_arg.c_str(),
                           threads_arg.c_str(),
                           batch_arg.c_str(),
@@ -306,9 +284,89 @@ void ShardRouter::spawn_worker(std::size_t shard) {
     std::perror("eigenmaps_shard_worker exec");
     ::_exit(127);
   }
+  // The worker's death shows as EOF only once every copy of its end is
+  // closed, so the router keeps none.
+  worker_end.close();
   std::lock_guard<std::mutex> lock(state_mutex_);
-  shards_[shard]->pid = pid;
-  shards_[shard]->arena = std::move(arena);
+  shard.pid = pid;
+  // From here the destructor's shutdown broadcast reaches this life and
+  // wakes join_life's waits. The slot is not alive, so nothing routes here.
+  shard.conn = life.conn;
+  return life;
+}
+
+ShardRouter::Reassigned ShardRouter::join_life(Shard& shard, Life& life) {
+  Reassigned migrated;
+  try {
+    {
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      if (shutting_down_) throw TransportError("ShardRouter: shutting down");
+    }
+    std::vector<std::uint8_t> payload;
+    expect_message(*life.conn, MessageType::kHello, payload, "hello");
+    if (decode_hello(payload.data(), payload.size()).shard != shard.index) {
+      throw TransportError("ShardRouter: hello names the wrong shard");
+    }
+    life.conn->set_recv_timeout(options_.heartbeat_timeout_ms);
+
+    // Re-teach, then rejoin, all under the teach mutex: the mirror cannot
+    // change between the snapshot taught here and the instant the shard
+    // becomes routable, so its model set equals the cluster's exactly.
+    std::lock_guard<std::mutex> teach(teach_mutex_);
+    for (const runtime::ModelId id : mirror_.ids()) {
+      const auto entry = mirror_.resolve(id);
+      if (!entry) continue;  // unreachable under teach_mutex_; be safe
+      encode_register_model(id, *entry->model, payload);
+      life.conn->send(MessageType::kRegisterModel, payload);
+      // Nothing else reads this connection yet, so the ack is awaited
+      // right here: a shard that owns no streams has nothing else to say.
+      expect_message(*life.conn, MessageType::kModelAck, payload,
+                     "model ack");
+      const ModelAckMsg ack = decode_model_ack(payload.data(), payload.size());
+      if (!ack.ok || ack.model != id) {
+        throw TransportError("ShardRouter: model " + std::to_string(id) +
+                             " re-teach rejected: " + ack.error);
+      }
+    }
+
+    // Rejoin: flip alive, rebuild the ring, and quiesce every stream the
+    // ring now assigns to this shard — atomically, so no producer can
+    // reach the fresh worker ahead of its replay. Streams whose route
+    // already pointed at this slot (a full outage parked them) are
+    // reassigned-in-place for the same quiesce-then-replay treatment: the
+    // frames they logged must go to the NEW process, rebase-anchored.
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    if (shutting_down_) throw TransportError("ShardRouter: shutting down");
+    shard.alive = true;
+    shard.rejoined_at = Clock::now();
+    shard.last_stats = runtime::EngineStats{};
+    // Join in-flight control rounds as already-answered: this shard held
+    // no frames when they started, and drain() re-checks the replay log
+    // anyway, so nothing is lost — while a stale low token would deadlock
+    // the waiter forever.
+    shard.stats_generation = stats_generation_;
+    shard.drain_done_token = drain_token_;
+    rebuild_ring();
+    for (auto& [stream, route] : routes_) {
+      if (ring_lookup(stream) != shard.index) continue;
+      route->owner = shard.index;
+      route->replaying = true;
+      migrated.emplace_back(stream, route);
+    }
+    state_cv_.notify_all();
+  } catch (...) {
+    // A life that never joined leaves nothing behind.
+    pid_t pid;
+    {
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      pid = shard.pid;
+      shard.pid = -1;
+      shard.conn.reset();
+    }
+    kill_and_reap(pid);
+    throw;
+  }
+  return migrated;
 }
 
 void ShardRouter::rebuild_ring() {
@@ -352,10 +410,10 @@ std::uint64_t ShardRouter::register_model(
   if (!model) {
     throw std::invalid_argument("ShardRouter::register_model: null model");
   }
-  // Serialize against a shard rejoin: the respawn supervisor teaches the
-  // mirror's model set to the returning worker under this same mutex, so
-  // it can never miss a model registered concurrently (nor double-apply a
-  // retire) between its snapshot and the instant it becomes routable.
+  // Serialize against a shard rejoin: a slot thread teaches the mirror's
+  // model set to the returning worker under this same mutex, so it can
+  // never miss a model registered concurrently (nor double-apply a retire)
+  // between its snapshot and the instant it becomes routable.
   std::lock_guard<std::mutex> teach(teach_mutex_);
   std::vector<std::uint8_t> payload;
   encode_register_model(id, *model, payload);
@@ -363,14 +421,7 @@ std::uint64_t ShardRouter::register_model(
     std::lock_guard<std::mutex> lock(state_mutex_);
     acks_[id].clear();
   }
-  for (auto& shard : shards_) {
-    std::shared_ptr<MessageConnection> conn;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (shard->alive) conn = shard->conn;
-    }
-    if (conn) conn->send(MessageType::kRegisterModel, payload);
-  }
+  broadcast(MessageType::kRegisterModel, payload);
   // Wait until every shard still alive has acked (a shard dying mid-wait
   // un-blocks us: the predicate only counts the living).
   std::unique_lock<std::mutex> lock(state_mutex_);
@@ -420,14 +471,23 @@ void ShardRouter::retire_model(runtime::ModelId id) {
   RetireModelMsg msg;
   msg.model = id;
   encode_retire_model(msg, payload);
+  broadcast(MessageType::kRetireModel, payload);
+}
+
+bool ShardRouter::broadcast(MessageType type,
+                            const std::vector<std::uint8_t>& payload) {
+  bool any_alive = false;
   for (auto& shard : shards_) {
     std::shared_ptr<MessageConnection> conn;
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
       if (shard->alive) conn = shard->conn;
     }
-    if (conn) conn->send(MessageType::kRetireModel, payload);
+    if (!conn) continue;
+    any_alive = true;
+    conn->send(type, payload);
   }
+  return any_alive;
 }
 
 bool ShardRouter::send_frame_to_owner(const StreamRoute& route,
@@ -554,18 +614,7 @@ void ShardRouter::drain() {
     DrainMsg msg;
     msg.token = token;
     encode_drain(msg, payload);
-    bool any_alive = false;
-    for (auto& shard : shards_) {
-      std::shared_ptr<MessageConnection> conn;
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        if (shard->alive) conn = shard->conn;
-      }
-      if (!conn) continue;
-      any_alive = true;
-      conn->send(MessageType::kDrain, payload);
-    }
-    if (!any_alive) {
+    if (!broadcast(MessageType::kDrain, payload)) {
       // Full outage. If a respawn is still queued or running, the parked
       // un-acked frames are only waiting for capacity to come back — wait
       // for a shard to rejoin (or the last respawn to be abandoned, at
@@ -603,15 +652,7 @@ ClusterStats ShardRouter::stats() {
     std::lock_guard<std::mutex> lock(state_mutex_);
     generation = ++stats_generation_;
   }
-  std::vector<std::uint8_t> payload;  // kStatsPull carries no payload
-  for (auto& shard : shards_) {
-    std::shared_ptr<MessageConnection> conn;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (shard->alive) conn = shard->conn;
-    }
-    if (conn) conn->send(MessageType::kStatsPull, payload);
-  }
+  broadcast(MessageType::kStatsPull, {});  // no payload
   ClusterStats out;
   std::unique_lock<std::mutex> lock(state_mutex_);
   state_cv_.wait(lock, [&] {
@@ -647,15 +688,7 @@ std::vector<obs::SpanRecord> ShardRouter::drain_trace() {
     std::lock_guard<std::mutex> lock(state_mutex_);
     generation = ++trace_generation_;
   }
-  std::vector<std::uint8_t> payload;  // kTracePull carries no payload
-  for (auto& shard : shards_) {
-    std::shared_ptr<MessageConnection> conn;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (shard->alive) conn = shard->conn;
-    }
-    if (conn) conn->send(MessageType::kTracePull, payload);
-  }
+  broadcast(MessageType::kTracePull, {});  // no payload
   // The router's own rings drain while the workers prepare their replies.
   std::vector<obs::SpanRecord> spans = obs::drain_spans();
   std::unique_lock<std::mutex> lock(state_mutex_);
@@ -752,25 +785,106 @@ void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg,
   counters_.stale_results_dropped += stale;
 }
 
-void ShardRouter::reader_loop(std::size_t shard_index,
-                              std::shared_ptr<MessageConnection> conn,
-                              std::unique_ptr<ResultArena> arena) {
-  Shard& shard = *shards_[shard_index];
+void ShardRouter::run_slot(Shard& shard, Life life) {
+  do {
+    serve(shard, life);
+    // Wakes every thread still sending to this life — producers and a
+    // migrate-back replay — before the failure path needs their locks.
+    life.conn->shutdown();
+    handle_shard_failure(shard);
+    if (life.migrate_back.joinable()) life.migrate_back.join();
+    life = Life{};  // unmaps the arena: no view into it is left
+  } while (respawn(shard, life));
+  // The router is stopping (a given-up slot's worker is already reaped).
+  // Give a worker that was told to shut down a moment to exit cleanly,
+  // then make sure.
+  pid_t pid;
+  {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    pid = shard.pid;
+    shard.pid = -1;
+  }
+  if (pid <= 0) return;
+  int status = 0;
+  for (int i = 0; i < 200; ++i) {
+    const pid_t done = ::waitpid(pid, &status, WNOHANG);
+    if (done == pid || done < 0) return;
+    ::usleep(5000);
+  }
+  kill_and_reap(pid);
+}
+
+bool ShardRouter::respawn(Shard& shard, Life& life) {
+  Reassigned migrated;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(state_mutex_);
+      if (shutting_down_ || options_.respawn_max_attempts == 0 ||
+          shard.respawn_abandoned) {
+        return false;
+      }
+      // Attempt k (1-based) of the slot's flap streak waits
+      // 2^(k-1) * respawn_backoff_ms; shutdown cuts the wait short.
+      const auto backoff =
+          std::chrono::milliseconds(options_.respawn_backoff_ms) *
+          (std::int64_t{1}
+           << std::min<std::size_t>(shard.respawn_attempts - 1, 20));
+      if (state_cv_.wait_for(lock, backoff, [&] { return shutting_down_; })) {
+        return false;
+      }
+    }
+    try {
+      life = start_life(shard);
+      migrated = join_life(shard, life);
+      break;
+    } catch (const std::exception& error) {
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      if (shutting_down_) return false;
+      obs::log(obs::LogLevel::kError, "router", "shard %u respawn failed: %s",
+               shard.index, error.what());
+      schedule_respawn_locked(shard);
+      if (ring_.empty() && !respawn_possible_locked()) {
+        // The whole cluster is gone and this was the last hope of
+        // capacity: release producers blocked on back-pressure.
+        replay_.fail();
+      }
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    ++counters_.workers_respawned;
+    counters_.streams_migrated_back += migrated.size();
+    obs::emit_event(obs::EventType::kShardRespawned, shard.index,
+                    shard.respawn_attempts);
+    if (!migrated.empty()) {
+      obs::emit_event(obs::EventType::kStreamsMigratedBack, shard.index,
+                      migrated.size());
+    }
+  }
+  obs::log(obs::LogLevel::kInfo, "router",
+           "shard %u respawned and rejoined (%zu streams migrated back)",
+           shard.index, migrated.size());
+  if (!migrated.empty()) {
+    life.migrate_back = std::thread(
+        [this, migrated = std::move(migrated)] { replay_streams(migrated); });
+  }
+  return true;
+}
+
+void ShardRouter::serve(Shard& shard, Life& life) {
+  const std::size_t shard_index = shard.index;
+  MessageConnection& conn = *life.conn;
   MessageType type;
   std::vector<std::uint8_t> payload;
   bool escalate = false;
   for (;;) {
     if (escalate) break;
     try {
-      if (conn->recv(type, payload) != RecvStatus::kOk) break;
+      if (conn.recv(type, payload) != RecvStatus::kOk) break;
     } catch (const std::exception& error) {
       obs::log(obs::LogLevel::kWarn, "router",
                "shard %zu receive error: %s", shard_index, error.what());
       break;
-    }
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      shard.last_heard = Clock::now();  // any traffic counts as liveness
     }
     try {
       switch (type) {
@@ -780,8 +894,8 @@ void ShardRouter::reader_loop(std::size_t shard_index,
           // released once handled — delivered, stale, or never routed.
           const ResultMsg result =
               decode_result(payload.data(), payload.size());
-          handle_result(shard_index, result, arena->view(result));
-          arena->release();
+          handle_result(shard_index, result, life.arena->view(result));
+          life.arena->release();
           break;
         }
         case MessageType::kHeartbeat: {
@@ -857,25 +971,21 @@ void ShardRouter::reader_loop(std::size_t shard_index,
       // ProtocolError (corrupt payload) or any other decode failure: the
       // peer is untrustworthy but the router is not — down this one shard
       // (streams rehash, frames replay) instead of letting the exception
-      // unwind through the reader thread and terminate the process.
+      // unwind through the slot thread and terminate the process.
       obs::log(obs::LogLevel::kError, "router",
                "shard %zu decode error: %s", shard_index, error.what());
       break;
     }
   }
-  handle_shard_failure(shard_index);
 }
 
-void ShardRouter::handle_shard_failure(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<StreamRoute>>>
-      rehashed;
+void ShardRouter::handle_shard_failure(Shard& shard) {
+  Reassigned rehashed;
   bool all_dead = false;
-  std::shared_ptr<MessageConnection> conn;
   pid_t pid = -1;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    if (shutting_down_ || !shard.alive) return;
+    if (shutting_down_) return;
     shard.alive = false;
     ++counters_.shard_failures;
     obs::emit_event(obs::EventType::kShardDeath, shard.index);
@@ -894,14 +1004,18 @@ void ShardRouter::handle_shard_failure(std::size_t shard_index) {
       }
       counters_.streams_rehashed += rehashed.size();
     }
-    conn = shard.conn;
+    shard.conn.reset();
     // Take the pid out of the slot before reaping: a respawn will give it
     // a fresh pid, and a stale one must never be signalled again (the
     // kernel may have reused it for a different shard's worker by then).
     pid = shard.pid;
     shard.pid = -1;
-    // Arm the self-healing supervisor for this slot (no-op when respawn
-    // is disabled or the slot's flap streak hit the cap).
+    // A life that outlived one heartbeat timeout was stable: its death
+    // starts a fresh flap streak, with the full respawn budget.
+    if (Clock::now() - shard.rejoined_at >
+        std::chrono::milliseconds(options_.heartbeat_timeout_ms)) {
+      shard.respawn_attempts = 0;
+    }
     schedule_respawn_locked(shard);
     if (all_dead && !respawn_possible_locked()) {
       // No capacity left and none coming back: poison the log so blocked
@@ -912,19 +1026,12 @@ void ShardRouter::handle_shard_failure(std::size_t shard_index) {
     // Waiters (register_model, drain, stats) re-evaluate their live sets.
     state_cv_.notify_all();
   }
-  conn->shutdown();
-  if (pid > 0) {
-    ::kill(pid, SIGKILL);  // no-op if already gone
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
+  if (pid > 0) kill_and_reap(pid);
   if (all_dead) return;  // nothing to replay onto (yet)
   replay_streams(rehashed);
 }
 
-void ShardRouter::replay_streams(
-    const std::vector<std::pair<std::uint64_t, std::shared_ptr<StreamRoute>>>&
-        reassigned) {
+void ShardRouter::replay_streams(const Reassigned& reassigned) {
   // Replay each reassigned stream's un-acked frames, in seq order, to its
   // new owner. The ingest lock serializes against live producers of the
   // same stream, and the replaying flag kept producers that raced the
@@ -982,286 +1089,31 @@ void ShardRouter::replay_streams(
   }
 }
 
-void ShardRouter::monitor_loop() {
-  const auto interval = std::chrono::milliseconds(options_.heartbeat_interval_ms);
-  const auto timeout = std::chrono::milliseconds(options_.heartbeat_timeout_ms);
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  while (!shutting_down_) {
-    state_cv_.wait_for(lock, interval, [&] { return shutting_down_; });
-    if (shutting_down_) break;
-    const auto now = Clock::now();
-    for (auto& shard : shards_) {
-      if (!shard->alive) continue;
-      // A respawned worker that stayed up a full heartbeat-timeout window
-      // has proven itself stable: reset its flap streak so a much later,
-      // unrelated crash gets the full respawn budget again.
-      if (shard->respawn_attempts > 0 && !shard->respawn_pending &&
-          !shard->respawn_inflight && now - shard->rejoined_at > timeout) {
-        shard->respawn_attempts = 0;
-      }
-      if (now - shard->last_heard <= timeout) continue;
-      // Silent too long: force the connection down. The reader wakes with
-      // kClosed and runs the one true failure path — the monitor itself
-      // never mutates routing state.
-      const std::shared_ptr<MessageConnection> conn = shard->conn;
-      lock.unlock();
-      conn->shutdown();
-      lock.lock();
-    }
-  }
-}
-
 void ShardRouter::schedule_respawn_locked(Shard& shard) {
   if (options_.respawn_max_attempts == 0) return;  // self-healing disabled
   if (shard.respawn_attempts >= options_.respawn_max_attempts) {
     // Flap detection: this slot crashed right back after every respawn in
     // the streak. Give up on it — the ring stays rebalanced onto the
     // survivors, exactly as if respawn were disabled.
-    if (!shard.respawn_abandoned) {
-      shard.respawn_abandoned = true;
-      ++counters_.respawns_abandoned;
-      obs::emit_event(obs::EventType::kShardRespawnAbandoned, shard.index,
-                      shard.respawn_attempts);
-      obs::log(obs::LogLevel::kError, "router",
-               "giving up on shard %u after %zu failed respawns",
-               shard.index, shard.respawn_attempts);
-      state_cv_.notify_all();  // drain() may be waiting on this verdict
-    }
+    shard.respawn_abandoned = true;
+    ++counters_.respawns_abandoned;
+    obs::emit_event(obs::EventType::kShardRespawnAbandoned, shard.index,
+                    shard.respawn_attempts);
+    obs::log(obs::LogLevel::kError, "router",
+             "giving up on shard %u after %zu failed respawns", shard.index,
+             shard.respawn_attempts);
+    state_cv_.notify_all();  // drain() may be waiting on this verdict
     return;
   }
-  // Exponential backoff over the slot's current flap streak: attempt k
-  // (1-based) waits 2^(k-1) * respawn_backoff_ms. The shift is capped only
-  // by respawn_max_attempts, which the caller bounds.
-  const auto backoff = std::chrono::milliseconds(
-      options_.respawn_backoff_ms
-      << std::min<std::size_t>(shard.respawn_attempts, 20));
   ++shard.respawn_attempts;
-  shard.respawn_at = Clock::now() + backoff;
-  shard.respawn_pending = true;
-  state_cv_.notify_all();  // wake the supervisor to re-plan its sleep
 }
 
 bool ShardRouter::respawn_possible_locked() const {
+  if (options_.respawn_max_attempts == 0) return false;
   for (const auto& shard : shards_) {
-    if (shard->respawn_pending || shard->respawn_inflight) return true;
+    if (!shard->alive && !shard->respawn_abandoned) return true;
   }
   return false;
-}
-
-void ShardRouter::respawn_loop() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  while (!shutting_down_) {
-    const auto now = Clock::now();
-    Shard* due = nullptr;
-    auto earliest = Clock::time_point::max();
-    for (auto& shard : shards_) {
-      if (!shard->respawn_pending) continue;
-      if (shard->respawn_at <= now) {
-        due = shard.get();
-        break;
-      }
-      earliest = std::min(earliest, shard->respawn_at);
-    }
-    if (due != nullptr) {
-      due->respawn_pending = false;
-      due->respawn_inflight = true;
-      lock.unlock();
-      attempt_respawn(due->index);
-      lock.lock();
-      due->respawn_inflight = false;
-      state_cv_.notify_all();  // drain() re-checks respawn_possible
-      continue;
-    }
-    // Sleep until the earliest backoff expires or something changes
-    // (a new failure arming a respawn, shutdown). Spurious wakeups just
-    // re-scan.
-    if (earliest == Clock::time_point::max()) {
-      state_cv_.wait(lock);
-    } else {
-      state_cv_.wait_until(lock, earliest);
-    }
-  }
-}
-
-bool ShardRouter::fail_respawn_attempt(Shard& shard) {
-  pid_t pid;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    pid = shard.pid;
-    shard.pid = -1;
-  }
-  if (pid > 0) {
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  schedule_respawn_locked(shard);
-  if (ring_.empty() && !respawn_possible_locked()) {
-    // The whole cluster is gone and this was the last hope of capacity:
-    // release producers blocked on back-pressure.
-    replay_.fail();
-  }
-  return false;
-}
-
-bool ShardRouter::attempt_respawn(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  // The previous life's reader has exited (it ran the failure handler
-  // that armed this attempt); reap the thread before starting a new one.
-  if (shard.reader.joinable()) shard.reader.join();
-
-  try {
-    spawn_worker(shard_index);
-  } catch (const TransportError& error) {
-    obs::log(obs::LogLevel::kError, "router", "shard %zu respawn failed: %s",
-             shard_index, error.what());
-    return fail_respawn_attempt(shard);
-  }
-
-  // Re-accept on the still-open listener. Short poll slices keep the
-  // supervisor responsive to shutdown; listener_->close() in the
-  // destructor wakes a blocked accept immediately as well.
-  std::shared_ptr<MessageConnection> conn;
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.connect_timeout_ms);
-  while (!conn) {
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (shutting_down_) return false;  // dtor reaps the spawned child
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (left.count() <= 0) break;
-    Socket sock = listener_->accept(
-        static_cast<int>(std::min<long long>(left.count(), 200)));
-    if (!sock.valid()) continue;
-    auto candidate = std::make_shared<MessageConnection>(std::move(sock));
-    MessageType type;
-    std::vector<std::uint8_t> payload;
-    try {
-      if (candidate->recv(type, payload) != RecvStatus::kOk ||
-          type != MessageType::kHello) {
-        continue;  // died before hello, or a stray peer: not our worker
-      }
-      const HelloMsg hello = decode_hello(payload.data(), payload.size());
-      if (hello.shard != shard.index) continue;  // stale/stray connection
-    } catch (const std::exception&) {
-      continue;  // malformed hello: drop the connection, keep waiting
-    }
-    conn = std::move(candidate);
-  }
-  if (!conn) {
-    obs::log(obs::LogLevel::kError, "router",
-             "shard %zu respawn: worker did not reconnect in time",
-             shard_index);
-    return fail_respawn_attempt(shard);
-  }
-
-  // Install the connection before the first teach recv: from here the
-  // destructor's broadcast loop can shut it down to unblock us. The shard
-  // is still !alive, so no sender routes anything to it yet.
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (shutting_down_) return false;
-    shard.conn = conn;
-  }
-
-  // Re-teach, then rejoin, all under the teach mutex: the mirror cannot
-  // change between the snapshot taught here and the instant the shard
-  // becomes routable, so its model set equals the cluster's exactly.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<StreamRoute>>>
-      migrated;
-  {
-    std::lock_guard<std::mutex> teach(teach_mutex_);
-    std::vector<std::uint8_t> payload;
-    for (const runtime::ModelId id : mirror_.ids()) {
-      const auto entry = mirror_.resolve(id);
-      if (!entry) continue;  // unreachable under teach_mutex_; be safe
-      encode_register_model(id, *entry->model, payload);
-      if (conn->send(MessageType::kRegisterModel, payload) !=
-          RecvStatus::kOk) {
-        return fail_respawn_attempt(shard);
-      }
-      // Private handshake: this connection has no reader thread yet, so
-      // the ack is awaited right here. Heartbeats interleave; anything
-      // else from a shard that owns no streams and serves no frames is a
-      // protocol violation.
-      for (;;) {
-        MessageType type;
-        std::vector<std::uint8_t> reply;
-        try {
-          if (conn->recv(type, reply) != RecvStatus::kOk) {
-            return fail_respawn_attempt(shard);
-          }
-          if (type == MessageType::kHeartbeat) continue;
-          if (type != MessageType::kModelAck) {
-            return fail_respawn_attempt(shard);
-          }
-          const ModelAckMsg ack =
-              decode_model_ack(reply.data(), reply.size());
-          if (!ack.ok || ack.model != id) {
-            obs::log(obs::LogLevel::kError, "router",
-                     "shard %zu respawn: model %llu re-teach rejected: %s",
-                     shard_index, static_cast<unsigned long long>(id),
-                     ack.error.c_str());
-            return fail_respawn_attempt(shard);
-          }
-        } catch (const std::exception& error) {
-          obs::log(obs::LogLevel::kError, "router",
-                   "shard %zu respawn: re-teach failed: %s", shard_index,
-                   error.what());
-          return fail_respawn_attempt(shard);
-        }
-        break;
-      }
-    }
-
-    // Rejoin: flip alive, rebuild the ring, and quiesce every stream the
-    // ring now assigns to this shard — atomically, so no producer can
-    // reach the fresh worker ahead of its replay. Streams whose route
-    // already pointed at this slot (a full outage parked them) are
-    // reassigned-in-place for the same quiesce-then-replay treatment: the
-    // frames they logged must go to the NEW process, rebase-anchored.
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (shutting_down_) return false;
-    shard.alive = true;
-    shard.last_heard = Clock::now();
-    shard.rejoined_at = shard.last_heard;
-    shard.last_stats = runtime::EngineStats{};
-    // Join in-flight control rounds as already-answered: this shard held
-    // no frames when they started, and drain() re-checks the replay log
-    // anyway, so nothing is lost — while a stale low token would deadlock
-    // the waiter forever.
-    shard.stats_generation = stats_generation_;
-    shard.drain_done_token = drain_token_;
-    rebuild_ring();
-    for (auto& [stream, route] : routes_) {
-      if (ring_lookup(stream) != shard.index) continue;
-      route->owner = shard.index;
-      route->replaying = true;
-      migrated.emplace_back(stream, route);
-    }
-    ++counters_.workers_respawned;
-    counters_.streams_migrated_back += migrated.size();
-    obs::emit_event(obs::EventType::kShardRespawned, shard.index,
-                    shard.respawn_attempts);
-    if (!migrated.empty()) {
-      obs::emit_event(obs::EventType::kStreamsMigratedBack, shard.index,
-                      migrated.size());
-    }
-    Shard* s = &shard;
-    shard.reader = std::thread(
-        [this, s, conn, arena = std::move(shard.arena)]() mutable {
-          reader_loop(s->index, conn, std::move(arena));
-        });
-    state_cv_.notify_all();
-  }
-  obs::log(obs::LogLevel::kInfo, "router",
-           "shard %zu respawned and rejoined (%zu streams migrated back)",
-           shard_index, migrated.size());
-  replay_streams(migrated);
-  return true;
 }
 
 }  // namespace eigenmaps::dist

@@ -15,13 +15,18 @@
 // frame can route for a model some shard might not know, and a rehash
 // never has to re-teach a survivor.
 //
-// The cluster is also self-healing: a supervisor thread respawns a dead
-// worker with exponential backoff (RouterOptions::respawn_*), re-runs the
-// hello handshake on the still-open listener, re-teaches it every mirror
-// model before it becomes routable, then re-inserts it into the ring and
-// migrates its streams back with the same quiesce-then-replay protocol the
-// failure path uses — so the exactly-once in-order contract holds across
-// rejoin exactly as it does across death.
+// Each shard slot has one router thread for its whole life: it serves the
+// worker's socket, runs the failure path when the worker dies or stays
+// silent past the receive deadline, and — the cluster is self-healing —
+// respawns it with exponential backoff (RouterOptions::respawn_*). Every
+// worker life gets its own socketpair and result arena, made before the
+// fork; the new life says hello, is re-taught every mirror model before it
+// becomes routable, then re-enters the ring, and its streams migrate back
+// with the same quiesce-then-replay protocol the failure path uses — so
+// the exactly-once in-order contract holds across rejoin exactly as it
+// does across death. The migrate-back replay runs on a short-lived thread
+// of its own while the slot thread serves the new life, which must have
+// its results read to keep taking frames.
 #ifndef EIGENMAPS_DIST_ROUTER_H
 #define EIGENMAPS_DIST_ROUTER_H
 
@@ -34,7 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/types.h>
@@ -48,23 +53,25 @@
 
 namespace eigenmaps::dist {
 
-class ResultArena;
-
 struct RouterOptions {
   /// Worker processes to spawn. Must be positive.
   std::size_t shard_count = 2;
   /// Path to the eigenmaps_shard_worker binary (no default: the caller
   /// knows where its build put it; tests get it from EIGENMAPS_WORKER_BIN).
   std::string worker_binary;
-  /// Directory for the router's Unix domain socket.
+  /// Kept only so the frozen serving ledger (perfbench/serve.cpp) still
+  /// compiles; the router does not read it (every worker life talks over
+  /// its own socketpair).
   std::string socket_dir = "/tmp";
   /// Per-shard engine knobs, forwarded on the worker command line.
   /// 0 worker threads = the worker's own default (EIGENMAPS_THREADS).
   std::size_t worker_threads = 1;
   std::size_t batch_size = 32;
-  /// Worker -> router heartbeat period, and how long the router waits
-  /// without hearing anything (heartbeat or traffic) before declaring the
-  /// shard dead.
+  /// Worker -> router heartbeat period, and the receive deadline on each
+  /// worker's socket: a slot thread that waits this long for any message
+  /// (heartbeat or traffic) declares the shard dead. Only time spent
+  /// waiting on the socket counts, so a slow result callback cannot fail a
+  /// healthy shard.
   int heartbeat_interval_ms = 50;
   int heartbeat_timeout_ms = 2000;
   /// Bound on un-acked frames across all streams (producer back-pressure).
@@ -72,13 +79,14 @@ struct RouterOptions {
   /// Virtual nodes per shard on the consistent-hash ring. More nodes
   /// spread a dead shard's streams more evenly over the survivors.
   std::size_t virtual_nodes = 16;
-  /// Worker spawn/handshake deadline (initial spawn and respawn alike).
+  /// How long a new worker life has to say hello (initial spawn and
+  /// respawn alike).
   int connect_timeout_ms = 10000;
-  /// Self-healing: how many consecutive failed lives of one shard slot the
-  /// supervisor tolerates before giving up on it (flap detection — a
-  /// worker that crashes right back after every respawn must not be
-  /// restarted forever). The counter resets once a respawned worker stays
-  /// up for heartbeat_timeout_ms. 0 disables respawn entirely: a dead
+  /// Self-healing: how many consecutive failed lives of one shard slot its
+  /// thread tolerates before giving up on it (flap detection — a worker
+  /// that crashes right back after every respawn must not be restarted
+  /// forever). The streak starts afresh when a life that ran longer than
+  /// heartbeat_timeout_ms dies. 0 disables respawn entirely: a dead
   /// shard's streams stay on the survivors, as before this knob existed.
   std::size_t respawn_max_attempts = 3;
   /// Backoff before respawn attempt k (1-based) of a slot's current flap
@@ -88,7 +96,7 @@ struct RouterOptions {
 };
 
 /// Multi-process shard router. Thread-safe for concurrent producers; the
-/// result callback runs on per-shard reader threads and must not call back
+/// result callback runs on the per-slot threads and must not call back
 /// into the router. The maps view it receives points into the shard's
 /// shared-memory result arena and is only valid for the duration of the
 /// callback — copy to keep.
@@ -104,7 +112,7 @@ class ShardRouter {
   /// throws TransportError when a worker fails to come up in time and
   /// std::invalid_argument when `options` is malformed (zero shard count
   /// or replay capacity, empty worker binary, non-positive timeouts) —
-  /// loudly at construction, never deep inside spawn_worker.
+  /// loudly at construction, never deep inside start_life.
   ShardRouter(RouterOptions options, ResultCallback on_result);
   ~ShardRouter();
 
@@ -168,48 +176,53 @@ class ShardRouter {
  private:
   struct Shard;
   struct StreamRoute;
+  /// One worker life as its slot thread holds it: the connection, the
+  /// result arena and, after a respawn, the migrate-back replay.
+  struct Life;
+  /// Streams just given a new owner, each already marked `replaying`.
+  using Reassigned =
+      std::vector<std::pair<std::uint64_t, std::shared_ptr<StreamRoute>>>;
 
   /// Rejects malformed options with std::invalid_argument; the validated
   /// copy initializes options_.
   static RouterOptions validate(RouterOptions options);
 
-  /// Forks/execs one worker life with a fresh result arena, which waits in
-  /// the shard slot until that life's reader takes it.
-  void spawn_worker(std::size_t shard);
-  /// One per worker life. Owns the life's result arena, so the mapping
-  /// outlives every view the reader hands out and is unmapped only after
-  /// the reader (and the failure path it runs) has finished.
-  void reader_loop(std::size_t shard, std::shared_ptr<MessageConnection> conn,
-                   std::unique_ptr<ResultArena> arena);
-  void monitor_loop();
-  void handle_shard_failure(std::size_t shard);
+  /// Starts one life of `shard`: makes its result arena and socketpair
+  /// and forks/execs the worker with its ends of both. The constructor
+  /// starts each slot's first life, the slot thread every later one.
+  Life start_life(Shard& shard);
+  /// Awaits the life's hello (connect_timeout_ms), re-teaches every mirror
+  /// model, then makes the shard routable and returns the streams the ring
+  /// now gives it, for the caller to replay. A life that fails to join is
+  /// reaped before this throws.
+  Reassigned join_life(Shard& shard, Life& life);
+  /// The slot thread: serves `life`, runs the failure path when it ends,
+  /// and starts the next one until the slot is given up or the router
+  /// stops; then reaps whatever worker is left.
+  void run_slot(Shard& shard, Life life);
+  /// Handles one life's messages until its socket closes, stays silent
+  /// past heartbeat_timeout_ms, or the worker misbehaves. The life's arena
+  /// outlives every view handed out here.
+  void serve(Shard& shard, Life& life);
+  /// Backs off on state_cv_, then starts lives until one joins (true),
+  /// records the respawn and starts its migrate-back replay; false once
+  /// the slot is given up or the router stops.
+  bool respawn(Shard& shard, Life& life);
+  void handle_shard_failure(Shard& shard);
   void handle_result(std::size_t shard, const ResultMsg& msg,
                      numerics::ConstMatrixView maps);
-  /// The self-healing supervisor: sleeps until a dead shard's backoff
-  /// expires, then tries to bring it back.
-  void respawn_loop();
-  /// One respawn attempt: fork/exec, re-accept on the listener, re-teach
-  /// every mirror model, then atomically rejoin the ring and migrate
-  /// streams back. On failure schedules the next attempt (or abandons the
-  /// slot). Returns whether the shard rejoined.
-  bool attempt_respawn(std::size_t shard);
-  /// state_mutex_ held: arms the next respawn of `shard` per its flap
-  /// streak, or abandons the slot once the streak hits the cap.
+  /// state_mutex_ held: counts a failed life in the slot's flap streak, or
+  /// abandons the slot once the streak hits the cap.
   void schedule_respawn_locked(Shard& shard);
-  /// Cleanup for a failed respawn attempt: reaps the half-started child,
-  /// schedules the next attempt (or abandons), and poisons the replay log
-  /// when no capacity can ever return. Always returns false.
-  bool fail_respawn_attempt(Shard& shard);
-  /// state_mutex_ held: whether any slot still has a respawn queued or
-  /// running — i.e. whether lost capacity can still come back.
+  /// state_mutex_ held: whether any dead slot can still come back.
   bool respawn_possible_locked() const;
   /// Quiesce-then-replay for streams just reassigned (by a failure rehash
   /// or a rejoin migrate-back): per stream, under its ingest lock, clears
   /// `replaying` and re-sends the un-acked frames to the new owner, the
   /// first one rebase-flagged so the owner re-anchors its seq mapping.
-  void replay_streams(
-      const std::vector<std::pair<std::uint64_t,
-                                  std::shared_ptr<StreamRoute>>>& reassigned);
+  void replay_streams(const Reassigned& reassigned);
+  /// Sends one message to every live shard; false when none is alive.
+  bool broadcast(MessageType type, const std::vector<std::uint8_t>& payload);
   std::shared_ptr<StreamRoute> route_for(std::uint64_t stream);
   /// Ring lookup among live shards; throws std::runtime_error when none.
   std::uint32_t ring_lookup(std::uint64_t stream) const;
@@ -228,11 +241,6 @@ class ShardRouter {
 
   const RouterOptions options_;
   const ResultCallback on_result_;
-  std::string socket_path_;
-  /// Stays open for the router's whole life: respawned workers re-connect
-  /// through the same path. The destructor close()s it to wake a respawn
-  /// attempt blocked in accept().
-  std::unique_ptr<UnixListener> listener_;
 
   /// Mirror of the cluster's registered models, for producer-side
   /// validation (width, mask feasibility) without a round-trip.
@@ -240,21 +248,21 @@ class ShardRouter {
   ReplayLog replay_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::thread monitor_;
-  std::thread respawner_;  // only started when respawn is enabled
 
   /// Serializes model-set changes against shard rejoin: register_model /
   /// retire_model hold it across broadcast+ack+mirror-publish, and a
   /// respawn holds it across re-teach+ring-rejoin, so a rejoined shard's
   /// model set always equals the mirror the instant it becomes routable.
-  /// Ordered before state_mutex_; never held by reader threads.
+  /// Ordered before state_mutex_; never held while a life is served.
   std::mutex teach_mutex_;
 
-  /// Guards routes_, ring_, shard liveness/heartbeat/stats/ack/drain/
-  /// respawn bookkeeping, and counters_. Never held across a socket send
+  /// Guards routes_, ring_, shard liveness/stats/ack/drain/respawn
+  /// bookkeeping, and counters_. Never held across a socket send
   /// or the result callback.
   mutable std::mutex state_mutex_;
-  std::condition_variable state_cv_;  // acks, stats replies, drain dones
+  /// Acks, stats replies, drain dones, liveness changes; slot threads
+  /// also back off on it, so shutdown cuts a backoff short.
+  std::condition_variable state_cv_;
   std::map<std::uint64_t, std::shared_ptr<StreamRoute>> routes_;
   std::map<std::uint64_t, std::uint32_t> ring_;
   std::map<runtime::ModelId, std::map<std::uint32_t, ModelAckMsg>> acks_;

@@ -1,13 +1,10 @@
 #include "dist/transport.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 namespace eigenmaps::dist {
@@ -18,26 +15,7 @@ namespace {
   throw TransportError(what + ": " + std::strerror(errno));
 }
 
-sockaddr_un make_addr(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() + 1 > sizeof(addr.sun_path)) {
-    throw TransportError("socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  return addr;
-}
-
 }  // namespace
-
-Socket& Socket::operator=(Socket&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
 
 void Socket::close() {
   if (fd_ >= 0) {
@@ -48,6 +26,16 @@ void Socket::close() {
 
 void Socket::shutdown_both() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
+void Socket::set_recv_timeout(int timeout_ms) {
+  timeval timeout{};
+  timeout.tv_sec = timeout_ms / 1000;
+  timeout.tv_usec = (timeout_ms % 1000) * 1000;
+  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)) !=
+      0) {
+    throw_errno("setsockopt SO_RCVTIMEO");
+  }
 }
 
 RecvStatus Socket::send_all(const void* data, std::size_t size) {
@@ -77,70 +65,10 @@ RecvStatus Socket::recv_exact(void* data, std::size_t size) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return RecvStatus::kClosed;  // EOF (n == 0), reset, or shutdown
+    // EOF (n == 0), reset, shutdown, or EAGAIN from the receive deadline.
+    return RecvStatus::kClosed;
   }
   return RecvStatus::kOk;
-}
-
-Socket connect_unix(const std::string& path, int timeout_ms) {
-  const sockaddr_un addr = make_addr(path);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) throw_errno("socket");
-    Socket sock(fd);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      return sock;
-    }
-    // The listener may not have bound yet (workers race the router), or
-    // its backlog may be momentarily full — retry until the deadline.
-    if (errno != ENOENT && errno != ECONNREFUSED && errno != EAGAIN) {
-      throw_errno("connect " + path);
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      throw TransportError("connect " + path + ": timed out");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
-UnixListener::UnixListener(std::string path) : path_(std::move(path)) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket");
-  listen_socket_ = Socket(fd);
-  ::unlink(path_.c_str());  // stale socket file from a crashed run
-  const sockaddr_un addr = make_addr(path_);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    throw_errno("bind " + path_);
-  }
-  if (::listen(fd, 16) != 0) throw_errno("listen " + path_);
-}
-
-UnixListener::~UnixListener() { ::unlink(path_.c_str()); }
-
-void UnixListener::close() { listen_socket_.shutdown_both(); }
-
-Socket UnixListener::accept(int timeout_ms) {
-  pollfd pfd{};
-  pfd.fd = listen_socket_.fd();
-  pfd.events = POLLIN;
-  for (;;) {
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0) return Socket();  // timeout (or poll error): no peer
-    const int fd = ::accept(listen_socket_.fd(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      // close() shut the listening socket down: report "no peer" so the
-      // caller's shutdown check runs, instead of throwing on a clean exit.
-      if (errno == EINVAL) return Socket();
-      throw_errno("accept");
-    }
-    return Socket(fd);
-  }
 }
 
 RecvStatus MessageConnection::send(MessageType type,

@@ -1,14 +1,16 @@
-// Local-socket transport under the shard protocol: RAII sockets, a Unix
-// domain listener, and MessageConnection — one framed, thread-safe message
-// channel per shard (DESIGN.md §12).
+// Local-socket transport under the shard protocol: RAII sockets and
+// MessageConnection — one framed, thread-safe message channel per worker
+// life, over the socketpair the router makes when it spawns that life
+// (DESIGN.md §12).
 //
 // Failure taxonomy, kept deliberately narrow:
 //  - RecvStatus::kClosed — the peer went away (EOF between frames, EPIPE,
-//    ECONNRESET). The normal death signal; the router funnels every shard
-//    failure through it.
+//    ECONNRESET) or stayed silent past the receive deadline. The normal
+//    death signal; the router funnels every shard failure through it.
 //  - ProtocolError — the bytes are wrong (bad magic, truncated payload).
 //    Never expected from a healthy same-build peer.
-//  - TransportError — the local syscall layer failed (socket(), bind()).
+//  - TransportError — the local syscall layer failed (socketpair(),
+//    fork(), setsockopt()).
 #ifndef EIGENMAPS_DIST_TRANSPORT_H
 #define EIGENMAPS_DIST_TRANSPORT_H
 
@@ -23,7 +25,7 @@
 
 namespace eigenmaps::dist {
 
-/// Local syscall failure (socket/bind/listen/connect), with errno text.
+/// Local syscall failure (socketpair/fork/setsockopt), with errno text.
 class TransportError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -31,7 +33,7 @@ class TransportError : public std::runtime_error {
 
 enum class RecvStatus {
   kOk,
-  kClosed,  // orderly EOF or peer reset — the single "shard died" signal
+  kClosed,  // EOF, reset or receive deadline: the one "shard died" signal
 };
 
 /// RAII file descriptor for a connected stream socket. Movable, not
@@ -40,88 +42,55 @@ enum class RecvStatus {
 /// uses MSG_NOSIGNAL).
 class Socket {
  public:
-  Socket() = default;
   explicit Socket(int fd) : fd_(fd) {}
   Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Socket& operator=(Socket&& other) noexcept;
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
   ~Socket() { close(); }
 
-  bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
   void close();
 
   /// Half-closes both directions without releasing the fd: a blocked
-  /// recv_exact in another thread wakes with kClosed. How the router's
-  /// heartbeat monitor funnels a timed-out shard into the one failure path.
+  /// recv_exact or send_all in another thread wakes with kClosed. How the
+  /// router wakes a slot thread at shutdown and producers blocked on a
+  /// dead worker.
   void shutdown_both();
+
+  /// Bounds each later wait in recv_exact: no byte for `timeout_ms` ends it
+  /// with kClosed (the kernel's EAGAIN), so a silent peer takes the same
+  /// path as a dead one. Throws TransportError.
+  void set_recv_timeout(int timeout_ms);
 
   /// Writes all `size` bytes or reports the peer gone. Partial writes are
   /// retried; EINTR is transparent.
   RecvStatus send_all(const void* data, std::size_t size);
 
-  /// Reads exactly `size` bytes, or kClosed on EOF/reset. EOF after some
-  /// bytes of a frame were read is still kClosed — the caller decides
-  /// whether a mid-frame cut matters (MessageConnection treats both the
-  /// same: the peer is gone).
+  /// Reads exactly `size` bytes, or kClosed on EOF, reset or the receive
+  /// deadline. EOF after some bytes of a frame were read is still kClosed
+  /// — the caller decides whether a mid-frame cut matters
+  /// (MessageConnection treats both the same: the peer is gone).
   RecvStatus recv_exact(void* data, std::size_t size);
 
  private:
   int fd_ = -1;
 };
 
-/// Connects to a Unix domain socket path, retrying while the listener is
-/// still coming up (workers race the router's bind). Throws TransportError
-/// after `timeout_ms`.
-Socket connect_unix(const std::string& path, int timeout_ms = 5000);
-
-/// Listening Unix domain socket. Unlinks a stale path on bind, and unlinks
-/// again on destruction.
-///
-/// Lifetime contract: the router keeps its listener open for the life of
-/// the cluster, not just startup — a respawned worker re-connects through
-/// the same path, so accept() is called again long after the initial
-/// handshake.
-class UnixListener {
- public:
-  explicit UnixListener(std::string path);
-  ~UnixListener();
-  UnixListener(const UnixListener&) = delete;
-  UnixListener& operator=(const UnixListener&) = delete;
-
-  const std::string& path() const { return path_; }
-
-  /// Accepts one connection, or an invalid Socket after `timeout_ms` with
-  /// no arrival (poll-based, so a dead worker cannot hang the router's
-  /// startup forever). After close(), returns an invalid Socket
-  /// immediately instead of blocking.
-  Socket accept(int timeout_ms);
-
-  /// Stops accepting: shuts the listening socket down so a concurrent or
-  /// future accept() returns an invalid Socket promptly. Called by the
-  /// router's destructor to wake a respawn supervisor blocked in accept().
-  /// The fd itself stays owned until destruction (no fd-reuse race).
-  void close();
-
- private:
-  std::string path_;
-  Socket listen_socket_;
-};
-
 /// One protocol frame channel over a Socket.
 ///
 /// Threading contract: send() is serialized by an internal mutex — any
 /// thread may send (producers, the swap broadcaster, the heartbeat thread).
-/// recv() must only be called from ONE thread (the per-shard reader / the
-/// worker main loop); it keeps per-call scratch unsynchronized for the hot
-/// path. shutdown() may be called from any thread to wake the reader.
+/// recv() must only be called from ONE thread (the router's slot thread /
+/// the worker main loop); it keeps per-call scratch unsynchronized for the
+/// hot path. shutdown() may be called from any thread to wake the reader.
 class MessageConnection {
  public:
   explicit MessageConnection(Socket socket) : socket_(std::move(socket)) {}
 
-  bool valid() const { return socket_.valid(); }
   void shutdown() { socket_.shutdown_both(); }
+  void set_recv_timeout(int timeout_ms) {
+    socket_.set_recv_timeout(timeout_ms);
+  }
 
   /// Frames and writes one message. kClosed when the peer is gone; the
   /// frame is either fully written or the connection is dead — no partial
@@ -129,8 +98,9 @@ class MessageConnection {
   RecvStatus send(MessageType type, const std::vector<std::uint8_t>& payload);
 
   /// Reads one frame into `type` and `payload` (reused across calls —
-  /// zero-allocation once warm). kClosed on EOF, reset, or EOF mid-frame;
-  /// ProtocolError on malformed bytes. Single-reader only.
+  /// zero-allocation once warm). kClosed on EOF, reset, EOF mid-frame or
+  /// the receive deadline; ProtocolError on malformed bytes. Single-reader
+  /// only.
   RecvStatus recv(MessageType& type, std::vector<std::uint8_t>& payload);
 
  private:

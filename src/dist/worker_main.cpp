@@ -1,9 +1,9 @@
 // eigenmaps_shard_worker: one shard of the distributed serving cluster.
 // Wraps a local ModelRegistry + ReconstructionEngine behind the shard
-// protocol (DESIGN.md §12): connects back to the router's Unix socket,
-// identifies itself with a hello, then serves register/retire, frame
-// submit, flush, stats, drain, and shutdown messages while a background
-// thread heartbeats.
+// protocol (DESIGN.md §12): talks to the router over the socketpair end it
+// inherited, identifies itself with a hello, then serves register/retire,
+// frame submit, flush, stats, drain, and shutdown messages while a
+// background thread heartbeats.
 //
 // Exactly-once bookkeeping, worker side: the router assigns each frame a
 // global per-stream seq, but the engine numbers frames locally from 0 per
@@ -28,8 +28,8 @@
 // as an inherited fd: the result callback copies each segment's rows into
 // the arena's ring once and sends only a descriptor.
 //
-// Usage: eigenmaps_shard_worker <socket> <shard> <threads> <batch> <hb_ms>
-//                               <arena_fd>
+// Usage: eigenmaps_shard_worker <socket_fd> <shard> <threads> <batch>
+//                               <hb_ms> <arena_fd>
 
 #include <atomic>
 #include <chrono>
@@ -93,15 +93,15 @@ std::uint64_t parse_u64(const char* text, const char* what) {
 int worker_main(int argc, char** argv) {
   if (argc != 7) {
     std::fprintf(stderr,
-                 "usage: eigenmaps_shard_worker <socket> <shard> <threads> "
-                 "<batch> <heartbeat_ms> <arena_fd>\n");
+                 "usage: eigenmaps_shard_worker <socket_fd> <shard> "
+                 "<threads> <batch> <heartbeat_ms> <arena_fd>\n");
     return 2;
   }
   // The router may vanish at any moment; writes to a dead socket must
   // surface as kClosed, never as SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
 
-  const std::string socket_path = argv[1];
+  const auto socket_fd = static_cast<int>(parse_u64(argv[1], "socket fd"));
   const auto shard = static_cast<std::uint32_t>(parse_u64(argv[2], "shard"));
   const std::size_t threads = parse_u64(argv[3], "threads");
   const std::size_t batch = parse_u64(argv[4], "batch");
@@ -140,7 +140,7 @@ int worker_main(int argc, char** argv) {
   std::mutex result_mutex;
   dist::ResultRing ring(*arena);
   std::vector<std::uint8_t> result_payload;  // guarded by result_mutex
-  dist::MessageConnection conn(dist::connect_unix(socket_path));
+  dist::MessageConnection conn{dist::Socket(socket_fd)};
   {
     std::vector<std::uint8_t> payload;
     dist::HelloMsg hello;
@@ -152,8 +152,8 @@ int worker_main(int argc, char** argv) {
     }
   }
   if (die_file != nullptr && ::access(die_file, F_OK) == 0) {
-    // After the hello, so the router's respawn supervisor sees a worker
-    // that connects and then dies — the hardest flap shape to handle.
+    // After the hello, so the router's slot thread sees a worker that comes
+    // up and then dies — the hardest flap shape to handle.
     return 3;
   }
 

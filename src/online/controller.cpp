@@ -54,6 +54,11 @@ AdaptationController::AdaptationController(runtime::ModelRegistry& registry,
     throw std::invalid_argument(
         "AdaptationController: expanded_stride must be positive");
   }
+  if (!(options_.condition_ceiling >= 1.0)) {  // NaN fails too
+    throw std::invalid_argument(
+        "AdaptationOptions: condition_ceiling must be at least 1 (+inf for "
+        "no ceiling)");
+  }
   retrainer_ = std::thread([this] { retrain_loop(); });
 }
 

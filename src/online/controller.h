@@ -60,7 +60,7 @@ struct AdaptationOptions {
   core::PcaOptions pca;
   /// A refreshed model whose full-sensor conditioning exceeds this is
   /// rejected (retrain counted failed, no swap) — same convention as
-  /// FactorCacheOptions::condition_ceiling.
+  /// FactorCacheOptions::condition_ceiling (+inf: no ceiling).
   double condition_ceiling = 1e8;
 };
 
@@ -85,8 +85,10 @@ struct AdaptationStats {
 /// can be called from anywhere.
 class AdaptationController final : public runtime::BatchObserver {
  public:
-  /// Throws std::invalid_argument when `model` is not registered or a
-  /// holdout slot is out of range for it.
+  /// Throws std::invalid_argument when `model` is not registered, a
+  /// holdout slot is out of range for it, or an option value is out of
+  /// range (drift options as DriftDetector checks them, a
+  /// condition_ceiling below 1 or NaN).
   AdaptationController(runtime::ModelRegistry& registry,
                        runtime::ModelId model,
                        AdaptationOptions options = {});

@@ -2,10 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace eigenmaps::online {
 
-DriftDetector::DriftDetector(DriftOptions options) : options_(options) {}
+namespace {
+
+/// Each test is written so that NaN fails it.
+DriftOptions checked(DriftOptions options) {
+  if (!(options.threshold > 0.0)) {
+    throw std::invalid_argument("DriftOptions: threshold must be positive");
+  }
+  if (!(options.slack >= 0.0) || std::isinf(options.slack)) {
+    throw std::invalid_argument(
+        "DriftOptions: slack must be finite and non-negative");
+  }
+  if (!(options.min_sigma > 0.0) || std::isinf(options.min_sigma)) {
+    throw std::invalid_argument(
+        "DriftOptions: min_sigma must be finite and positive");
+  }
+  return options;
+}
+
+}  // namespace
+
+DriftDetector::DriftDetector(DriftOptions options)
+    : options_(checked(options)) {}
 
 bool DriftDetector::observe(double residual) {
   ++frames_observed_;

@@ -52,6 +52,9 @@ struct DriftStats {
 /// relearned, which also gives the retrainer a natural alarm cooldown.
 class DriftDetector {
  public:
+  /// Throws std::invalid_argument naming the field for a threshold that is
+  /// not positive, a slack that is negative or infinite, a min_sigma that
+  /// is not positive or is infinite, and NaN anywhere.
   explicit DriftDetector(DriftOptions options = {});
 
   const DriftOptions& options() const { return options_; }

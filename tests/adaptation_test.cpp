@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -316,6 +317,41 @@ TEST(AdaptationController, RejectsUnknownModelAndBadConfiguration) {
   EXPECT_THROW(online::AdaptationController(
                    fx.registry, ControllerFixture::kModel, zero_stride),
                std::invalid_argument);
+
+  // Option values that would silently break the alarm or the ceiling: a
+  // NaN threshold fires on every armed frame, a NaN ceiling passes every
+  // model.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [&](const online::AdaptationOptions& options) {
+    EXPECT_THROW(online::AdaptationController(
+                     fx.registry, ControllerFixture::kModel, options),
+                 std::invalid_argument);
+  };
+  for (const double value : {kNaN, 0.0, -1.0}) {
+    online::AdaptationOptions options;
+    options.drift.threshold = value;
+    expect_rejected(options);
+  }
+  for (const double value : {kNaN, -1.0, kInf}) {
+    online::AdaptationOptions options;
+    options.drift.slack = value;
+    expect_rejected(options);
+  }
+  for (const double value : {kNaN, 0.0, kInf}) {
+    online::AdaptationOptions options;
+    options.drift.min_sigma = value;
+    expect_rejected(options);
+  }
+  for (const double value : {kNaN, 0.5}) {
+    online::AdaptationOptions options;
+    options.condition_ceiling = value;
+    expect_rejected(options);
+  }
+  online::AdaptationOptions unbounded;
+  unbounded.condition_ceiling = kInf;  // no ceiling: allowed
+  EXPECT_NO_THROW(online::AdaptationController(
+      fx.registry, ControllerFixture::kModel, unbounded));
 }
 
 // ---- End to end at paper size ------------------------------------------

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -1105,7 +1106,7 @@ TEST(DistRouter, ChaosKillOneShardRespawnsAndLosesNothing) {
   }
   router.drain();
 
-  // Self-healing: the supervisor respawns the victim, re-teaches it the
+  // Self-healing: the slot thread respawns the victim, re-teaches it the
   // model, and re-inserts it into the ring. Wait on the monotonic respawn
   // counter — alive_count alone could read 3 before the death is noticed.
   ASSERT_TRUE(wait_until([&] {
@@ -1256,45 +1257,60 @@ TEST(DistRouter, ChaosKillRespawnKillAgainLosesNothing) {
 
 TEST(DistRouter, SingleShardFullOutageParksFramesUntilRespawn) {
   const Fixture fx;
-  constexpr std::size_t kBatch = 4;
   constexpr std::size_t kWave = 8;
   std::vector<std::pair<std::uint64_t, core::SensorBitmask>> streams;
   for (std::uint64_t s = 0; s < 4; ++s) {
     streams.emplace_back(s, core::SensorBitmask());
   }
 
-  Collector collector;
-  dist::RouterOptions options = test_router_options(1, kBatch);
-  options.respawn_max_attempts = 3;
-  options.respawn_backoff_ms = 10;
-  dist::ShardRouter router(std::move(options), collector.callback());
-  router.register_model(1, fx.rec.model());
+  // The second input parks ~4,000 frames, more than a fresh worker can
+  // absorb (socket buffer, 64 queued batches, 4 ring slots) unless the
+  // router keeps reading its results while the migrate-back replay is
+  // still sending. Its backoff outlasts the parking pushes, so they all
+  // land in the outage.
+  struct Input {
+    std::size_t batch;
+    std::size_t parked_per_stream;
+    int backoff_ms;
+  };
+  for (const Input& input : {Input{4, kWave, 10}, Input{32, 990, 300}}) {
+    SCOPED_TRACE("batch " + std::to_string(input.batch) + ", " +
+                 std::to_string(input.parked_per_stream) +
+                 " frames parked per stream");
+    const std::size_t frames = kWave + input.parked_per_stream;
+    Collector collector;
+    dist::RouterOptions options = test_router_options(1, input.batch);
+    options.respawn_max_attempts = 3;
+    options.respawn_backoff_ms = input.backoff_ms;
+    dist::ShardRouter router(std::move(options), collector.callback());
+    router.register_model(1, fx.rec.model());
 
-  // Route every stream once, then take down the only shard: a full
-  // outage with a respawn pending.
-  push_wave(router, fx, streams, 0, kWave);
-  router.kill_shard(0);
+    // Route every stream once, then take down the only shard: a full
+    // outage with a respawn pending.
+    push_wave(router, fx, streams, 0, kWave);
+    router.kill_shard(0);
 
-  // Frames of already-routed streams are accepted during the outage —
-  // they park in the replay log and replay once the worker rejoins.
-  push_wave(router, fx, streams, kWave, 2 * kWave);
+    // Frames of already-routed streams are accepted during the outage —
+    // they park in the replay log and replay once the worker rejoins.
+    push_wave(router, fx, streams, kWave, frames);
 
-  // drain() must ride through the outage: wait for the rejoin, replay,
-  // and only return once everything is delivered.
-  router.drain();
+    // drain() must ride through the outage: wait for the rejoin, replay,
+    // and only return once everything is delivered.
+    router.drain();
 
-  const auto golden = golden_run(fx, kBatch, streams, 2 * kWave);
-  {
-    std::lock_guard<std::mutex> lock(collector.mutex);
-    EXPECT_FALSE(collector.order_violated);
-    expect_byte_identical(collector.rows, golden);
+    const auto golden = golden_run(fx, input.batch, streams, frames);
+    {
+      std::lock_guard<std::mutex> lock(collector.mutex);
+      EXPECT_FALSE(collector.order_violated);
+      expect_byte_identical(collector.rows, golden);
+    }
+
+    const dist::ClusterStats stats = router.stats();
+    EXPECT_EQ(router.alive_count(), 1u);
+    EXPECT_EQ(stats.router.shard_failures, 1u);
+    EXPECT_EQ(stats.router.workers_respawned, 1u);
+    EXPECT_EQ(stats.router.results_delivered, streams.size() * frames);
   }
-
-  const dist::ClusterStats stats = router.stats();
-  EXPECT_EQ(router.alive_count(), 1u);
-  EXPECT_EQ(stats.router.shard_failures, 1u);
-  EXPECT_EQ(stats.router.workers_respawned, 1u);
-  EXPECT_EQ(stats.router.results_delivered, streams.size() * 2 * kWave);
 }
 
 TEST(DistRouter, WorkerErrorOnRoutedFrameEscalatesToFailover) {
@@ -1360,7 +1376,7 @@ TEST(DistRouter, RespawnGivesUpAfterMaxAttempts) {
   push_wave(router, fx, streams, 0, kFrames / 2);
 
   // Arm the flap and kill a shard: every respawned life now exits right
-  // after its hello, so the supervisor must burn its attempts and give up.
+  // after its hello, so its slot must burn its attempts and give up.
   FILE* flag = std::fopen(die_file.c_str(), "w");
   ASSERT_NE(flag, nullptr);
   std::fclose(flag);
@@ -1368,7 +1384,7 @@ TEST(DistRouter, RespawnGivesUpAfterMaxAttempts) {
 
   ASSERT_TRUE(wait_until([&] {
     return router.stats().router.respawns_abandoned >= 1;
-  })) << "supervisor never gave up";
+  })) << "the slot never gave up";
 
   // The slot stays abandoned and the cluster keeps serving on survivors.
   push_wave(router, fx, streams, kFrames / 2, kFrames);
@@ -1389,43 +1405,81 @@ TEST(DistRouter, RespawnGivesUpAfterMaxAttempts) {
   EXPECT_EQ(stats.router.results_delivered, streams.size() * kFrames);
 }
 
-/// Result-arena fds a process holds open (a memfd's link target carries
-/// the name it was created with).
-std::size_t arena_fds(pid_t pid) {
+/// Open fds of `pid` whose link target contains `kind`: "socket:" for
+/// sockets, the memfd name for result arenas. The standard streams are
+/// skipped: they are whatever the test runner passed in (a socket, under
+/// some runners), and every worker inherits them.
+std::size_t open_fds(pid_t pid, const std::string& kind) {
   std::size_t count = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            "/proc/" + std::to_string(pid) + "/fd")) {
+    if (std::stoi(entry.path().filename().string()) <= STDERR_FILENO) {
+      continue;
+    }
     std::error_code error;
     const std::string target =
         std::filesystem::read_symlink(entry.path(), error).string();
-    if (target.find("memfd:eigenmaps-results") != std::string::npos) ++count;
+    if (target.find(kind) != std::string::npos) ++count;
   }
   return count;
 }
 
+constexpr const char* kArenaFd = "memfd:eigenmaps-results";
+constexpr const char* kSocketFd = "socket:";
+
+/// Ids of the test process's threads. A joined thread can linger here for
+/// a moment, so tests compare id sets, not counts.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(task.path().filename().string());
+  }
+  return ids;
+}
+
 TEST(DistRouter, EachWorkerLifeHoldsOnlyItsOwnResultArena) {
-  // Every arena fd is close-on-exec except the child's own, so a worker
-  // holds exactly one arena — never a sibling's. The router holds one per
-  // worker life and drops a dead life's arena once its reader exits, so a
-  // respawn replaces it rather than leaking it.
+  // Every arena and socketpair fd is close-on-exec except the child's own,
+  // so a worker holds exactly one arena and one socket — never a
+  // sibling's. The router holds one of each per worker life and drops a
+  // dead life's once its slot thread is done with it, so a respawn
+  // replaces them rather than leaking them. A worker's end leaked into
+  // the router would keep a dead worker's socket open and turn every
+  // SIGKILL into a wait for the heartbeat deadline.
   const Fixture fx;
   std::vector<std::pair<std::uint64_t, core::SensorBitmask>> streams;
   for (std::uint64_t s = 0; s < 6; ++s) {
     streams.emplace_back(s, core::SensorBitmask());
   }
-  const std::size_t before = arena_fds(::getpid());
+  const pid_t self = ::getpid();
+  const std::size_t arenas = open_fds(self, kArenaFd);
+  const std::size_t sockets = open_fds(self, kSocketFd);
+  // ThreadSanitizer starts a helper thread along with the process's first
+  // thread; have it running before the snapshot.
+  std::thread([] {}).join();
+  const std::set<std::string> threads = thread_ids();
   Collector collector;
   dist::RouterOptions options = test_router_options(3, 8);
   options.respawn_max_attempts = 3;
   options.respawn_backoff_ms = 10;
   dist::ShardRouter router(std::move(options), collector.callback());
+  // One router thread per slot, and no other.
+  std::size_t started = 0;
+  for (const std::string& id : thread_ids()) started += threads.count(id) == 0;
+  EXPECT_EQ(started, 3u);
+  const auto expect_one_of_each_per_life = [&] {
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(open_fds(router.shard_pid(s), kArenaFd), 1u) << "shard " << s;
+      EXPECT_EQ(open_fds(router.shard_pid(s), kSocketFd), 1u)
+          << "shard " << s;
+    }
+    EXPECT_EQ(open_fds(self, kArenaFd), arenas + 3);
+    EXPECT_EQ(open_fds(self, kSocketFd), sockets + 3);
+  };
   router.register_model(1, fx.rec.model());
   push_wave(router, fx, streams, 0, 16);
   router.drain();
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(arena_fds(router.shard_pid(s)), 1u) << "shard " << s;
-  }
-  EXPECT_EQ(arena_fds(::getpid()), before + 3);
+  expect_one_of_each_per_life();
 
   router.kill_shard(1);
   ASSERT_TRUE(wait_until([&] {
@@ -1434,15 +1488,85 @@ TEST(DistRouter, EachWorkerLifeHoldsOnlyItsOwnResultArena) {
   })) << "shard 1 never rejoined";
   push_wave(router, fx, streams, 16, 32);
   router.drain();
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(arena_fds(router.shard_pid(s)), 1u) << "shard " << s;
-  }
-  EXPECT_EQ(arena_fds(::getpid()), before + 3);
+  expect_one_of_each_per_life();
 
   const auto golden = golden_run(fx, 8, streams, 32);
   std::lock_guard<std::mutex> lock(collector.mutex);
   EXPECT_FALSE(collector.order_violated);
   expect_byte_identical(collector.rows, golden);
+}
+
+TEST(DistRouter, HeartbeatDeadlineFailsAStoppedWorker) {
+  // A worker that stops answering without closing its socket is failed by
+  // the receive deadline alone: its streams rehash onto the survivor and
+  // replay, and the failure path's SIGKILL reaps the stopped process.
+  const Fixture fx;
+  constexpr std::size_t kBatch = 8;
+  constexpr std::size_t kFrames = 16;
+  std::vector<std::pair<std::uint64_t, core::SensorBitmask>> streams;
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    streams.emplace_back(s, core::SensorBitmask());
+  }
+
+  Collector collector;
+  dist::RouterOptions options = test_router_options(2, kBatch);
+  options.heartbeat_timeout_ms = 500;
+  dist::ShardRouter router(std::move(options), collector.callback());
+  router.register_model(1, fx.rec.model());
+  push_wave(router, fx, streams, 0, kFrames / 2);
+  ASSERT_EQ(::kill(router.shard_pid(pick_loaded_shard(router)), SIGSTOP), 0);
+  push_wave(router, fx, streams, kFrames / 2, kFrames);
+  router.drain();  // returns only once the stopped shard is failed
+
+  const auto golden = golden_run(fx, kBatch, streams, kFrames);
+  {
+    std::lock_guard<std::mutex> lock(collector.mutex);
+    EXPECT_FALSE(collector.order_violated);
+    expect_byte_identical(collector.rows, golden);
+  }
+  EXPECT_EQ(router.stats().router.shard_failures, 1u);
+  EXPECT_EQ(router.alive_count(), 1u);
+}
+
+TEST(DistRouter, HeartbeatDeadlineIgnoresASlowResultCallback) {
+  // The deadline times the worker, not the router: a result callback that
+  // sleeps through three deadlines must not fail the shard it serves.
+  const Fixture fx;
+  constexpr std::size_t kBatch = 8;
+  constexpr std::size_t kFrames = 16;
+  std::vector<std::pair<std::uint64_t, core::SensorBitmask>> streams;
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    streams.emplace_back(s, core::SensorBitmask());
+  }
+
+  Collector collector;
+  const auto deliver = collector.callback();
+  std::atomic<bool> slept{false};
+  dist::RouterOptions options = test_router_options(2, kBatch);
+  options.heartbeat_timeout_ms = 500;
+  dist::ShardRouter router(
+      std::move(options),
+      [&](std::uint64_t stream, std::uint64_t first_seq,
+          numerics::ConstMatrixView maps) {
+        if (!slept.exchange(true)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+        }
+        deliver(stream, first_seq, maps);
+      });
+  router.register_model(1, fx.rec.model());
+  push_wave(router, fx, streams, 0, kFrames);
+  router.drain();
+
+  const auto golden = golden_run(fx, kBatch, streams, kFrames);
+  {
+    std::lock_guard<std::mutex> lock(collector.mutex);
+    EXPECT_FALSE(collector.order_violated);
+    expect_byte_identical(collector.rows, golden);
+  }
+  const dist::ClusterStats stats = router.stats();
+  EXPECT_TRUE(slept.load());
+  EXPECT_EQ(stats.router.shard_failures, 0u);
+  EXPECT_EQ(stats.router.frames_replayed, 0u);
 }
 
 /// A process's state letter from /proc ('Z' once it has exited but not yet

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -271,9 +272,26 @@ TEST(FactorCache, ConditionCeilingRejectsIllConditionedMasks) {
   EXPECT_THROW(cache.factor(mask), std::invalid_argument);
   EXPECT_GE(cache.stats().rejections, 1u);
 
-  // The same mask is fine under the default ceiling.
+  // The same mask is fine under the default ceiling, and with none.
   core::FactorCache relaxed(fx.rec.model());
   EXPECT_GE(relaxed.factor(mask)->condition(), 1.0);
+  options.condition_ceiling = std::numeric_limits<double>::infinity();
+  core::FactorCache unbounded(fx.rec.model(), options);
+  EXPECT_GE(unbounded.factor(mask)->condition(), 1.0);
+
+  // A ceiling below 1 or NaN would reject every mask or none, and a NaN
+  // rank tolerance would switch Theorem 1's guard off: refused.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.5, kNaN}) {
+    options.condition_ceiling = bad;
+    EXPECT_THROW(core::FactorCache(fx.rec.model(), options),
+                 std::invalid_argument)
+        << bad;
+  }
+  core::FactorCacheOptions nan_tolerance;
+  nan_tolerance.rank_tolerance = kNaN;
+  EXPECT_THROW(core::FactorCache(fx.rec.model(), nan_tolerance),
+               std::invalid_argument);
 }
 
 TEST(FactorCache, RejectsWrongWidthMasksAndReadings) {
