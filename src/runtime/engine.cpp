@@ -311,7 +311,7 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
                                                const core::SensorBitmask& mask) {
   // Up to two jobs can come loose in one push: the old pending batch when
   // the (model, mask) binding changes, plus this frame's batch when it is
-  // full or old enough.
+  // cut (full, a worker idle, or old enough).
   Job cut_jobs[2];
   std::size_t cut_count = 0;
   std::uint64_t seq = 0;
@@ -410,13 +410,15 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
                        frame_origin_ns != 0 ? frame_origin_ns : push_ns,
                        push_ns, stream, frame_seq_base + seq, 1);
     }
-    // Cut when full, or when this push finds the batch max_batch_delay old
-    // (DESIGN.md §8). The check follows the append, so an aged batch leaves
-    // with its newest frame and never idles after it. The deadline form
-    // cannot wrap an unsigned age.
+    // Cut when full, when a worker is idle, or when this push finds the
+    // batch max_batch_delay old (DESIGN.md §8): a frame waits for company
+    // only while every worker is busy. The check follows the append, so a
+    // cut batch leaves with its newest frame and never idles after it. The
+    // deadline form cannot wrap an unsigned age.
     const auto max_delay_ns =
         static_cast<std::uint64_t>(options_.max_batch_delay.count());
     if (state.pending_frames >= options_.batch_size ||
+        queue_->has_idle_consumer() ||
         push_ns >= state.batch_opened_ns + max_delay_ns) {
       cut_jobs[cut_count++] = state.cut(stream);
     }
@@ -550,9 +552,9 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
 
   // The result comes out of the map pool and goes back once delivered.
   // Every buffer and the workspace are sized for a full batch, whatever
-  // this batch's length (DESIGN.md §10): age cuts make batch lengths vary,
-  // and a pool or workspace warmed on short batches must not mint when a
-  // full one arrives.
+  // this batch's length (DESIGN.md §10): idle and age cuts make batch
+  // lengths vary, and a pool or workspace warmed on short batches must not
+  // mint when a full one arrives.
   bool minted = false;
   numerics::Vector maps =
       map_pool_.acquire(options_.batch_size * cells, minted);

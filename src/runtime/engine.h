@@ -68,13 +68,14 @@ struct EngineOptions {
   /// size amortise the QR solve and subspace GEMM (DESIGN.md §8). Must be
   /// positive (the constructor throws std::invalid_argument otherwise).
   std::size_t batch_size = 32;
-  /// Age at which a stream's batch is cut before it is full: the push that
-  /// appends a frame and finds the batch's first frame at least this old
-  /// cuts it, the arriving frame included (DESIGN.md §8). A frame of an
-  /// active stream then waits at most this plus the gap to its stream's
-  /// next frame; a stream that stops still needs flush() or drain(). Zero
-  /// cuts on every push. Must not be negative (the constructor throws
-  /// std::invalid_argument otherwise).
+  /// Bound on how long a stream's batch waits for more frames while every
+  /// worker is busy: the push that appends a frame and finds the batch's
+  /// first frame at least this old cuts it, the arriving frame included
+  /// (DESIGN.md §8). A push that finds a worker idle cuts at once, whatever
+  /// the age. A frame of an active stream then waits at most this plus the
+  /// gap to its stream's next frame; a stream that stops still needs
+  /// flush() or drain(). Zero cuts on every push. Must not be negative (the
+  /// constructor throws std::invalid_argument otherwise).
   std::chrono::nanoseconds max_batch_delay = std::chrono::milliseconds(1);
   /// Bound on queued batch jobs; producers block past it (back-pressure).
   /// Must be positive (the constructor throws std::invalid_argument
@@ -261,12 +262,14 @@ struct EngineStats {
 
 /// Drives batches of sensor frames across a worker pool over a bounded
 /// queue. push_frame(stream, frame, model, mask) is the one front door:
-/// frames accumulate per stream into batches, cut when full or 1 ms old
-/// (EngineOptions::batch_size, max_batch_delay); completed batches are
-/// handed to the result callback exactly once and in submission order
-/// per stream, even when workers finish them out of order. Frames land in
-/// pooled batch buffers and results in pooled output buffers, so a warmed
-/// stream ingests and delivers without heap allocations.
+/// frames accumulate per stream into batches, cut when full, when a worker
+/// is idle, or when 1 ms old (EngineOptions::batch_size, max_batch_delay),
+/// so a frame waits for company only while every worker is busy; completed
+/// batches are handed to the result callback exactly once and in
+/// submission order per stream, even when workers finish them out of
+/// order. Frames land in pooled batch buffers and results in pooled output
+/// buffers, so a warmed stream ingests and delivers without heap
+/// allocations.
 ///
 /// Each frame carries a model id resolved against the ModelRegistry and an
 /// optional active-sensor mask (empty = all sensors alive); a stream that
@@ -319,8 +322,9 @@ class ReconstructionEngine {
   ModelRegistry& registry() { return *registry_; }
 
   /// Appends one frame to `stream`'s pending batch, cutting a job when the
-  /// batch is full or 1 ms old (batch_size, max_batch_delay), and whenever
-  /// the stream's model/mask binding changes. Returns the frame's sequence
+  /// batch is full, when a worker is blocked waiting for work, or when the
+  /// batch is 1 ms old (batch_size, max_batch_delay), and whenever the
+  /// stream's model/mask binding changes. Returns the frame's sequence
   /// number in the stream: 0 for the stream's first frame, then one more
   /// per push for the life of the engine — flush() and drain() never
   /// restart it.
@@ -330,7 +334,7 @@ class ReconstructionEngine {
       const core::SensorBitmask& mask = core::SensorBitmask());
 
   /// Cuts a (possibly short) batch from `stream`'s pending frames: the
-  /// end-of-stream call, since only a later push cuts a batch by age.
+  /// end-of-stream call, since only a later push cuts a pending batch.
   void flush(std::uint64_t stream);
 
   /// Flushes every stream and blocks until all queued work is delivered.

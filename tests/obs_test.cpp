@@ -31,6 +31,7 @@
 #include "obs/trace.h"
 #include "runtime/engine.h"
 #include "runtime/registry.h"
+#include "worker_hold.h"
 
 namespace {
 
@@ -297,17 +298,23 @@ TEST(ObsTrace, TracedEngineRunCoversEveryStageGapFree) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = kBatch;
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the workers held, only batch_size,
+  // flush and drain may cut.
   options.max_batch_delay = std::chrono::hours(1);
+  testhook::WorkerHold hold;
   runtime::ReconstructionEngine engine(
       fx.rec, options,
-      [](std::uint64_t, std::uint64_t, numerics::ConstMatrixView) {});
+      [&](std::uint64_t stream, std::uint64_t, numerics::ConstMatrixView) {
+        hold.held(stream);
+      });
   const numerics::Matrix frames = fx.frames(kFrames, 31);
+  hold.engage(engine, frames.row_view(0));
   for (std::uint64_t f = 0; f < kFrames; ++f) {
     for (std::uint64_t stream = 1; stream <= 2; ++stream) {
       engine.push_frame(stream, frames.row_view(f));
     }
   }
+  hold.release();
   engine.drain();
 
   const std::vector<obs::SpanRecord> spans = obs::drain_spans();
@@ -323,9 +330,11 @@ TEST(ObsTrace, TracedEngineRunCoversEveryStageGapFree) {
                       obs::stage_name(static_cast<obs::Stage>(s)));
     }
   }
-  // Ingest spans are per frame; batch stages are per batch.
+  // Ingest spans are per frame; batch stages are per batch. The hold's own
+  // frames are not counted.
   std::size_t ingest = 0, solves = 0;
   for (const obs::SpanRecord& span : spans) {
+    if (span.stream >= testhook::WorkerHold::kFirstStream) continue;
     if (span.stage == static_cast<std::uint8_t>(obs::Stage::kIngest)) {
       EXPECT_EQ(span.frames, 1u);
       ++ingest;
@@ -382,22 +391,29 @@ TEST(ObsExport, EngineRenderCarriesStageLabelsModelsAndEvents) {
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = 4;
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the worker held, only batch_size,
+  // flush and drain may cut.
   options.max_batch_delay = std::chrono::hours(1);
+  testhook::WorkerHold hold;
   runtime::ReconstructionEngine engine(
       fx.rec, options,
-      [](std::uint64_t, std::uint64_t, numerics::ConstMatrixView) {});
+      [&](std::uint64_t stream, std::uint64_t, numerics::ConstMatrixView) {
+        hold.held(stream);
+      });
   const numerics::Matrix frames = fx.frames(8, 33);
+  hold.engage(engine, frames.row_view(0));  // one frame, one batch
   for (std::size_t f = 0; f < 8; ++f) engine.push_frame(1, frames.row_view(f));
+  hold.release();
   engine.drain();
   obs::emit_event(obs::EventType::kHotSwapPublished, 0, 1);
 
+  // 8 frames in 2 batches, plus the hold's 1 frame in 1 batch.
   const std::string text = obs::render_prometheus(engine.stats());
-  EXPECT_NE(text.find("eigenmaps_frames_completed 8\n"), std::string::npos);
+  EXPECT_NE(text.find("eigenmaps_frames_completed 9\n"), std::string::npos);
   // Per-stage histograms, labelled, one sample per batch for every stage:
   // ingest (batch assembly) records untraced too.
   EXPECT_NE(
-      text.find("eigenmaps_stage_latency_ns_count{stage=\"ingest\"} 2\n"),
+      text.find("eigenmaps_stage_latency_ns_count{stage=\"ingest\"} 3\n"),
       std::string::npos)
       << text;
   EXPECT_NE(text.find("eigenmaps_stage_latency_ns_bucket{stage=\"solve\",le="),
@@ -408,7 +424,7 @@ TEST(ObsExport, EngineRenderCarriesStageLabelsModelsAndEvents) {
   EXPECT_NE(text.find("eigenmaps_stage_latency_ns_count{stage=\"expand\"}"),
             std::string::npos);
   // Per-model lines under the default model id.
-  EXPECT_NE(text.find("eigenmaps_model_frames_completed{model=\"0\"} 8\n"),
+  EXPECT_NE(text.find("eigenmaps_model_frames_completed{model=\"0\"} 9\n"),
             std::string::npos);
   EXPECT_NE(text.find("eigenmaps_model_expansion_backend{model=\"0\"}"),
             std::string::npos);

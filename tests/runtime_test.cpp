@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,10 +21,13 @@
 #include "numerics/rng.h"
 #include "runtime/engine.h"
 #include "runtime/registry.h"
+#include "runtime/work_queue.h"
+#include "worker_hold.h"
 
 namespace {
 
 using namespace eigenmaps;
+using testhook::WorkerHold;
 
 struct Fixture {
   Fixture()
@@ -54,22 +58,27 @@ TEST(ReconstructionEngine, SingleStreamResultsMatchPerFrameReconstruct) {
   runtime::EngineOptions options;
   options.worker_count = 3;
   options.batch_size = 4;
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the workers held, only batch_size,
+  // flush and drain may cut.
   options.max_batch_delay = std::chrono::hours(1);
+  WorkerHold hold;
   {
     runtime::ReconstructionEngine engine(
         fx.rec, options,
         [&](std::uint64_t stream, std::uint64_t first_seq,
             numerics::ConstMatrixView maps) {
+          if (hold.held(stream)) return;
           EXPECT_EQ(stream, 9u);
           std::lock_guard<std::mutex> lock(delivered_mutex);
           delivered_seqs.push_back(first_seq);
           // The view dies with the callback; keep a deep copy.
           delivered_batches.push_back(numerics::Matrix(maps));
         });
+    hold.engage(engine, fx.frame(9, 0));
     for (std::uint64_t i = 0; i < 11; ++i) {  // 2 full batches + 3 tail
       EXPECT_EQ(engine.push_frame(9, fx.frame(9, i)), i);
     }
+    hold.release();
     engine.drain();
   }
 
@@ -94,10 +103,12 @@ TEST(ReconstructionEngine, SingleStreamResultsMatchPerFrameReconstruct) {
   }
 }
 
-/// The default age cut, then every push cutting its own one-frame batch:
-/// exactly-once, in-order delivery must hold for both.
+/// The default age cut, then every push cutting its own one-frame batch,
+/// then no age cut at all (only size, idle workers, flush and drain cut):
+/// exactly-once, in-order delivery must hold for all three.
 const std::chrono::nanoseconds kBatchDelays[] = {
-    runtime::EngineOptions().max_batch_delay, std::chrono::nanoseconds(0)};
+    runtime::EngineOptions().max_batch_delay, std::chrono::nanoseconds(0),
+    std::chrono::hours(1)};
 
 TEST(ReconstructionEngine, ManyProducersManyStreamsExactlyOnceInOrder) {
   const Fixture fx;
@@ -198,9 +209,10 @@ TEST(ReconstructionEngine, SharedStreamInterleavedProducersStayOrdered) {
 }
 
 TEST(ReconstructionEngine, BatchDeadlineCutsOnThePushPastIt) {
-  // A batch far from full is cut by the first push that finds its first
-  // frame max_batch_delay old, and that push's frame leaves with it: the
-  // whole batch arrives with no flush() or drain().
+  // While every worker is busy, a batch far from full is cut by the first
+  // push that finds its first frame max_batch_delay old, and that push's
+  // frame leaves with it: the whole batch arrives with no flush() or
+  // drain().
   const Fixture fx;
   std::mutex delivered_mutex;
   std::condition_variable delivered_cv;
@@ -209,6 +221,46 @@ TEST(ReconstructionEngine, BatchDeadlineCutsOnThePushPastIt) {
   options.worker_count = 2;
   options.batch_size = 32;
   options.max_batch_delay = std::chrono::milliseconds(2);
+  WorkerHold hold;
+  runtime::ReconstructionEngine engine(
+      fx.rec, options,
+      [&](std::uint64_t stream, std::uint64_t first_seq,
+          numerics::ConstMatrixView maps) {
+        if (hold.held(stream)) return;
+        std::lock_guard<std::mutex> lock(delivered_mutex);
+        delivered.emplace_back(first_seq, maps.rows());
+        delivered_cv.notify_all();
+      });
+
+  std::vector<numerics::Vector> frames;
+  for (std::uint64_t i = 0; i < 4; ++i) frames.push_back(fx.frame(1, i));
+  hold.engage(engine, frames[0]);
+  for (std::uint64_t i = 0; i < 3; ++i) engine.push_frame(1, frames[i]);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  engine.push_frame(1, frames[3]);
+  hold.release();
+
+  std::unique_lock<std::mutex> lock(delivered_mutex);
+  ASSERT_TRUE(delivered_cv.wait_for(lock, std::chrono::seconds(10),
+                                    [&] { return !delivered.empty(); }))
+      << "the aged batch was never cut";
+  EXPECT_EQ(delivered,
+            (std::vector<std::pair<std::uint64_t, std::size_t>>{{0, 4}}));
+}
+
+TEST(ReconstructionEngine, IdleWorkerCutsEachFrameAlone) {
+  // A push that finds a worker blocked waiting for work cuts its stream's
+  // batch at once (DESIGN.md §8): with neither size (32) nor age (1 h)
+  // due, each frame pushed to a quiet engine arrives alone, with no
+  // flush() or drain().
+  const Fixture fx;
+  std::mutex delivered_mutex;
+  std::condition_variable delivered_cv;
+  std::vector<std::pair<std::uint64_t, std::size_t>> delivered;  // seq, rows
+  runtime::EngineOptions options;
+  options.worker_count = 1;
+  options.batch_size = 32;
+  options.max_batch_delay = std::chrono::hours(1);
   runtime::ReconstructionEngine engine(
       fx.rec, options,
       [&](std::uint64_t, std::uint64_t first_seq,
@@ -218,18 +270,66 @@ TEST(ReconstructionEngine, BatchDeadlineCutsOnThePushPastIt) {
         delivered_cv.notify_all();
       });
 
-  std::vector<numerics::Vector> frames;
-  for (std::uint64_t i = 0; i < 4; ++i) frames.push_back(fx.frame(1, i));
-  for (std::uint64_t i = 0; i < 3; ++i) engine.push_frame(1, frames[i]);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  engine.push_frame(1, frames[3]);
+  std::vector<std::pair<std::uint64_t, std::size_t>> expect;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    // Ample time for the worker to get back to pop(), which no engine call
+    // reports.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    engine.push_frame(1, fx.frame(1, i));
+    expect.emplace_back(i, 1);
+    std::unique_lock<std::mutex> lock(delivered_mutex);
+    ASSERT_TRUE(delivered_cv.wait_for(lock, std::chrono::seconds(10), [&] {
+      return delivered.size() == expect.size();
+    })) << "frame " << i << " was never cut";
+    EXPECT_EQ(delivered, expect);
+  }
+}
 
-  std::unique_lock<std::mutex> lock(delivered_mutex);
-  ASSERT_TRUE(delivered_cv.wait_for(lock, std::chrono::seconds(10),
-                                    [&] { return !delivered.empty(); }))
-      << "the aged batch was never cut";
-  EXPECT_EQ(delivered,
-            (std::vector<std::pair<std::uint64_t, std::size_t>>{{0, 4}}));
+TEST(BoundedWorkQueue, IdleConsumerIsABlockedPopNoQueuedItemClaims) {
+  // has_idle_consumer() reads consumers blocked in pop() minus queued
+  // items, the count the engine's idle-worker cut reads (DESIGN.md §8).
+  runtime::BoundedWorkQueue<int> queue(2);
+  EXPECT_FALSE(queue.has_idle_consumer());  // no consumer yet
+  EXPECT_TRUE(queue.push(1));
+  EXPECT_FALSE(queue.has_idle_consumer());
+  // A consumer that finds an item takes it without ever being idle.
+  std::optional<int> got = queue.pop();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 1);
+  EXPECT_FALSE(queue.has_idle_consumer());
+
+  const auto wait_idle = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!queue.has_idle_consumer()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+
+  // One consumer blocks; the push that hands it an item claims it before
+  // push() returns, whether or not the consumer has woken yet.
+  got.reset();
+  std::thread consumer([&] { got = queue.pop(); });
+  EXPECT_TRUE(wait_idle());
+  EXPECT_TRUE(queue.push(2));
+  EXPECT_FALSE(queue.has_idle_consumer());
+  consumer.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 2);
+  EXPECT_FALSE(queue.has_idle_consumer());
+
+  // close() sends a blocked consumer away empty-handed, and it stops
+  // counting as idle.
+  std::thread closed_consumer([&] { got = queue.pop(); });
+  EXPECT_TRUE(wait_idle());
+  queue.close();
+  closed_consumer.join();
+  EXPECT_FALSE(got.has_value());
+  EXPECT_FALSE(queue.has_idle_consumer());
+  EXPECT_FALSE(queue.push(3));
+  EXPECT_FALSE(queue.has_idle_consumer());
 }
 
 TEST(ReconstructionEngine, CountsSubmissionAtPushAndKeepsNumberingAcrossDrain) {
@@ -243,34 +343,43 @@ TEST(ReconstructionEngine, CountsSubmissionAtPushAndKeepsNumberingAcrossDrain) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 32;  // larger than what we push: no batch cuts yet
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the workers held, only batch_size,
+  // flush and drain may cut.
   options.max_batch_delay = std::chrono::hours(1);
+  WorkerHold hold;
   runtime::ReconstructionEngine engine(
       fx.rec, options,
-      [&](std::uint64_t, std::uint64_t first_seq, numerics::ConstMatrixView) {
+      [&](std::uint64_t stream, std::uint64_t first_seq,
+          numerics::ConstMatrixView) {
+        if (hold.held(stream)) return;
         std::lock_guard<std::mutex> lock(delivered_mutex);
         delivered_seqs.push_back(first_seq);
       });
 
+  // The hold's own frames are submitted and completed before ours.
+  hold.engage(engine, fx.frame(1, 0));
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(engine.push_frame(1, fx.frame(1, i)), i);
   }
   runtime::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.frames_submitted, 5u);  // counted at ingestion...
-  EXPECT_EQ(stats.frames_completed, 0u);  // ...while still mid-batch
+  EXPECT_EQ(stats.frames_submitted, hold.frames() + 5u);  // at ingestion...
+  EXPECT_EQ(stats.frames_completed, hold.frames());  // ...while mid-batch
 
+  hold.release();
   engine.drain();
   stats = engine.stats();
-  EXPECT_EQ(stats.frames_completed, 5u);
+  EXPECT_EQ(stats.frames_completed, hold.frames() + 5u);
 
+  hold.engage(engine, fx.frame(1, 0));
   // Numbering continues across drain()...
   EXPECT_EQ(engine.push_frame(1, fx.frame(1, 5)), 5u);
   EXPECT_EQ(engine.push_frame(1, fx.frame(1, 6)), 6u);
   // ...and across a flush() of a short batch.
   engine.flush(1);
   EXPECT_EQ(engine.push_frame(1, fx.frame(1, 7)), 7u);
+  hold.release();
   engine.drain();
-  EXPECT_EQ(engine.stats().frames_completed, 8u);
+  EXPECT_EQ(engine.stats().frames_completed, hold.frames() + 8u);
 
   std::lock_guard<std::mutex> lock(delivered_mutex);
   EXPECT_EQ(delivered_seqs, (std::vector<std::uint64_t>{0, 5, 7}));
@@ -328,22 +437,28 @@ TEST(ReconstructionEngine, AllActiveMaskSpellingsShareOneBinding) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 8;
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the workers held, only batch_size,
+  // flush and drain may cut.
   options.max_batch_delay = std::chrono::hours(1);
+  WorkerHold hold;
   runtime::ReconstructionEngine engine(
       fx.rec, options,
-      [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView) {
+      [&](std::uint64_t stream, std::uint64_t, numerics::ConstMatrixView) {
+        if (hold.held(stream)) return;
         ++batches;
       });
 
   const core::SensorBitmask empty;
   const core::SensorBitmask full(fx.sensors.size());
+  hold.engage(engine, fx.frame(0, 0));
   for (std::uint64_t i = 0; i < 8; ++i) {
     engine.push_frame(0, fx.frame(0, i), 0, (i % 2 == 0) ? empty : full);
   }
+  hold.release();
   engine.drain();
   EXPECT_EQ(batches.load(), 1u);  // one full batch, not eight singletons
-  EXPECT_EQ(engine.stats().batches_completed, 1u);
+  // The hold's frames are one batch each.
+  EXPECT_EQ(engine.stats().batches_completed, hold.frames() + 1u);
 }
 
 TEST(ReconstructionEngine, ServesTwoRegisteredModelsConcurrently) {
@@ -451,11 +566,15 @@ TEST(ReconstructionEngine, DegradedStreamMatchesFromScratchReconstructor) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 4;
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the workers held, only batch_size,
+  // flush and drain may cut.
   options.max_batch_delay = std::chrono::hours(1);
+  WorkerHold hold;
   runtime::ReconstructionEngine engine(
       rec, options,
-      [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
+      [&](std::uint64_t stream, std::uint64_t,
+          numerics::ConstMatrixView maps) {
+        if (hold.held(stream)) return;
         std::lock_guard<std::mutex> lock(delivered_mutex);
         delivered.push_back(numerics::Matrix(maps));
       });
@@ -463,6 +582,8 @@ TEST(ReconstructionEngine, DegradedStreamMatchesFromScratchReconstructor) {
   constexpr std::size_t kFrames = 20;
   numerics::Rng rng(5);
   numerics::Matrix full(kFrames, sensors.size());
+  // The hold's frames use every sensor: no factor, no cache hit.
+  hold.engage(engine, numerics::Vector(sensors.size(), 50.0));
   for (std::size_t f = 0; f < kFrames; ++f) {
     for (std::size_t s = 0; s < sensors.size(); ++s) {
       full(f, s) = 50.0 + rng.normal();
@@ -472,6 +593,7 @@ TEST(ReconstructionEngine, DegradedStreamMatchesFromScratchReconstructor) {
     engine.push_frame(0, frame, runtime::ReconstructionEngine::kDefaultModel,
                       mask);
   }
+  hold.release();
   engine.drain();
 
   numerics::Matrix compact(kFrames, surviving.size());
@@ -502,7 +624,7 @@ TEST(ReconstructionEngine, DegradedStreamMatchesFromScratchReconstructor) {
       stats.models.at(runtime::ReconstructionEngine::kDefaultModel);
   EXPECT_EQ(model_stats.cache_misses, 1u);
   EXPECT_EQ(model_stats.cache_hits, 5u);
-  EXPECT_EQ(model_stats.frames_completed, kFrames);
+  EXPECT_EQ(model_stats.frames_completed, kFrames + hold.frames());
 }
 
 TEST(ReconstructionEngine, HotSwapTakesEffectAtTheNextBatchWithoutDrain) {
@@ -524,12 +646,15 @@ TEST(ReconstructionEngine, HotSwapTakesEffectAtTheNextBatchWithoutDrain) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 4;
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the workers held, only batch_size,
+  // flush and drain may cut.
   options.max_batch_delay = std::chrono::hours(1);
+  WorkerHold hold;
   runtime::ReconstructionEngine engine(
       registry, options,
-      [&](std::uint64_t, std::uint64_t first_seq,
+      [&](std::uint64_t stream, std::uint64_t first_seq,
           numerics::ConstMatrixView maps) {
+        if (hold.held(stream)) return;
         std::lock_guard<std::mutex> lock(delivered_mutex);
         delivered.emplace(first_seq, numerics::Matrix(maps));
       });
@@ -541,6 +666,7 @@ TEST(ReconstructionEngine, HotSwapTakesEffectAtTheNextBatchWithoutDrain) {
       frames(f, s) = 40.0 + rng.normal();
     }
   }
+  hold.engage(engine, frames.row_view(0), 3);
   for (std::size_t f = 0; f < 4; ++f) {
     engine.push_frame(1, frames.row_view(f), 3);
   }
@@ -548,6 +674,7 @@ TEST(ReconstructionEngine, HotSwapTakesEffectAtTheNextBatchWithoutDrain) {
   for (std::size_t f = 4; f < 8; ++f) {
     engine.push_frame(1, frames.row_view(f), 3);
   }
+  hold.release();
   engine.drain();
 
   numerics::Matrix first_half(4, sensors.size());
@@ -628,14 +755,17 @@ TEST(ReconstructionEngine, HotSwapUnderLiveMaskServesNoStaleFactor) {
   runtime::EngineOptions options;
   options.worker_count = 2;
   options.batch_size = 4;
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the workers held, only batch_size,
+  // flush and drain may cut.
   options.max_batch_delay = std::chrono::hours(1);
+  WorkerHold hold;
   std::mutex delivered_mutex;
   std::map<std::uint64_t, numerics::Matrix> delivered;
   runtime::ReconstructionEngine engine(
       registry, options,
-      [&](std::uint64_t, std::uint64_t first_seq,
+      [&](std::uint64_t stream, std::uint64_t first_seq,
           numerics::ConstMatrixView maps) {
+        if (hold.held(stream)) return;
         std::lock_guard<std::mutex> lock(delivered_mutex);
         delivered.emplace(first_seq, numerics::Matrix(maps));
       });
@@ -643,15 +773,19 @@ TEST(ReconstructionEngine, HotSwapUnderLiveMaskServesNoStaleFactor) {
   numerics::Matrix frames(8, fx.sensors.size());
   for (std::size_t f = 0; f < 8; ++f) frames.set_row(f, fx.frame(5, f));
   // First batch under v1 with the mask resident in v1's cache...
+  hold.engage(engine, frames.row_view(0), 1);
   for (std::size_t f = 0; f < 4; ++f) {
     engine.push_frame(3, frames.row_view(f), 1, mask);
   }
+  hold.release();
   engine.drain();
   // ...then hot-swap and serve the same mask immediately.
   registry.register_model(1, rec_v2.model());
+  hold.engage(engine, frames.row_view(0), 1);
   for (std::size_t f = 4; f < 8; ++f) {
     engine.push_frame(3, frames.row_view(f), 1, mask);
   }
+  hold.release();
   engine.drain();
 
   numerics::Matrix second_half(4, fx.sensors.size());

@@ -22,6 +22,7 @@
 #include "numerics/rng.h"
 #include "obs/trace.h"
 #include "runtime/engine.h"
+#include "worker_hold.h"
 
 namespace {
 
@@ -61,6 +62,12 @@ struct Fixture {
 /// every stream), so warm-up provably mints the pool's peak population.
 /// Without the hold a scheduler hiccup in the measured cycle can reach a
 /// peak warm-up never saw and mint one buffer mid-measurement.
+///
+/// The tests queue `stream`'s first batch, and any the worker takes
+/// before it, while a WorkerHold holds the worker, so the worker goes from
+/// that hold to this one without finding the queue empty: no push before
+/// `release_at` finds it idle, and every batch up to there is cut by size
+/// (DESIGN.md §8).
 class PeakHold final : public runtime::BatchObserver {
  public:
   PeakHold(std::uint64_t stream, std::uint64_t release_at)
@@ -189,32 +196,45 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   options.batch_size = 8;
   options.queue_capacity = 2;  // bounds in-flight buffers, so warm-up
                                // reaches the pool's steady population fast
-  // Asserts batch boundaries: PeakHold counts pushes to the blocking cut.
+  // Asserts batch boundaries: with the worker held, only batch_size cuts.
   options.max_batch_delay = std::chrono::hours(1);
-  // Pushes alternate streams 1, 2 frame by frame. With stream 2's first
-  // batch held and the two after it queued, the push that cuts stream 1's
-  // third batch (2 streams x 3 batches - 1) is the one that blocks, while
-  // stream 2's third batch is pending too: 5 inputs + 1 output live.
-  PeakHold hold(2, 2 * 3 * options.batch_size - 1);
-  options.observer = &hold;
+  // Pushes alternate streams 1, 2 frame by frame, a round (one batch per
+  // stream, a full queue) at a time. Round 0 queues under the WorkerHold;
+  // then the worker takes stream 1's first batch and PeakHold keeps it on
+  // stream 2's. With round 1 queued, the push that cuts stream 1's third
+  // batch (2 streams x 3 batches - 1) is the one that blocks, while stream
+  // 2's third batch is pending too: 5 inputs + 1 output live.
+  PeakHold peak(2, 2 * 3 * options.batch_size - 1);
+  options.observer = &peak;
+  testhook::WorkerHold hold;
   runtime::ReconstructionEngine engine(
       fx.rec, options,
-      [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
+      [&](std::uint64_t stream, std::uint64_t, numerics::ConstMatrixView maps) {
+        if (hold.held(stream)) return;
         delivered.fetch_add(maps.rows(), std::memory_order_relaxed);
       });
 
   // One no-dropout stream and one degraded stream, the steady serving mix.
-  const auto push_cycle = [&](std::size_t batches) {
-    for (std::size_t b = 0; b < batches; ++b) {
+  const auto push_rounds = [&](std::size_t first, std::size_t end) {
+    for (std::size_t b = first; b < end; ++b) {
       for (std::size_t f = 0; f < options.batch_size; ++f) {
         const numerics::ConstVectorView frame =
             frames.row_view((b * options.batch_size + f) % frames.rows());
-        ++hold.pushes;
+        ++peak.pushes;
         engine.push_frame(1, frame);
-        ++hold.pushes;
+        ++peak.pushes;
         engine.push_frame(2, frame, runtime::ReconstructionEngine::
                                         kDefaultModel, mask);
       }
+    }
+  };
+  // Each round queues whole while the worker is held, so it fills the
+  // queue without blocking and the worker drains it before the next.
+  const auto push_held_rounds = [&](std::size_t first, std::size_t end) {
+    for (std::size_t b = first; b < end; ++b) {
+      hold.engage(engine, frames.row_view(0));
+      push_rounds(b, b + 1);
+      hold.release();
     }
   };
   const auto wait_for = [&](std::uint64_t target) {
@@ -226,14 +246,18 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   // Warm-up: mint pool buffers (the first cycle passes through the held
   // peak), grow the worker workspace, build the mask's factor, size the
   // delivery queues.
-  push_cycle(6);
+  hold.engage(engine, frames.row_view(0));
+  push_rounds(0, 1);
+  hold.release();
+  push_rounds(1, 3);  // PeakHold holds the worker until the last of these
+  push_held_rounds(3, 6);
   wait_for(2 * 6 * options.batch_size);
-  push_cycle(6);
+  push_held_rounds(0, 6);
   wait_for(2 * 12 * options.batch_size);
 
   const runtime::EngineStats warm_stats = engine.stats();
   const std::uint64_t before = testhook::allocation_count();
-  push_cycle(10);
+  push_held_rounds(0, 10);
   wait_for(2 * 22 * options.batch_size);
   EXPECT_EQ(testhook::allocation_count() - before, 0u)
       << "a warmed engine must serve full batches without heap allocations";
@@ -247,7 +271,9 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   EXPECT_GT(warm_model_stats.steady_state_allocations, 0u);
   EXPECT_EQ(model_stats.steady_state_allocations,
             warm_model_stats.steady_state_allocations);
-  EXPECT_EQ(stats.frames_completed, 2u * 22u * options.batch_size);
+  // The hold's frames are served too, one per round.
+  EXPECT_EQ(stats.frames_completed,
+            2u * 22u * options.batch_size + hold.frames());
 }
 
 TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
@@ -265,28 +291,43 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
   options.worker_count = 1;
   options.batch_size = 8;
   options.queue_capacity = 2;
-  // Asserts batch boundaries: PeakHold counts pushes to the blocking cut.
+  // Asserts batch boundaries: with the worker held, only batch_size cuts.
   options.max_batch_delay = std::chrono::hours(1);
-  // With the first batch held and the next two queued, the push that cuts
-  // the fourth batch is the one that blocks: 4 inputs + 1 output live.
-  PeakHold hold(1, 4 * options.batch_size);
-  options.observer = &hold;
+  // The first two batches queue under the WorkerHold; then the worker
+  // takes the first and PeakHold keeps it there. With the next two queued,
+  // the push that cuts the fourth batch is the one that blocks: 4 inputs +
+  // 1 output live.
+  PeakHold peak(1, 4 * options.batch_size);
+  options.observer = &peak;
+  testhook::WorkerHold hold;
   {
     runtime::ReconstructionEngine engine(
         fx.rec, options,
-        [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
+        [&](std::uint64_t stream, std::uint64_t,
+            numerics::ConstMatrixView maps) {
+          if (hold.held(stream)) return;
           delivered.fetch_add(maps.rows(), std::memory_order_relaxed);
         });
 
     obs::ensure_thread_ring();  // the producer thread's ring, pre-minted
-    const auto push_cycle = [&](std::size_t batches) {
-      for (std::size_t b = 0; b < batches; ++b) {
+    const auto push_batches = [&](std::size_t first, std::size_t end) {
+      for (std::size_t b = first; b < end; ++b) {
         for (std::size_t f = 0; f < options.batch_size; ++f) {
-          ++hold.pushes;
+          ++peak.pushes;
           engine.push_frame(1, frames.row_view(
                                    (b * options.batch_size + f) %
                                    frames.rows()));
         }
+      }
+    };
+    // A full queue (two batches) at a time while the worker is held, so
+    // every batch is cut by size and the worker drains them before the
+    // next pair.
+    const auto push_held_batches = [&](std::size_t first, std::size_t end) {
+      for (std::size_t b = first; b < end; b += options.queue_capacity) {
+        hold.engage(engine, frames.row_view(0));
+        push_batches(b, b + options.queue_capacity);
+        hold.release();
       }
     };
     const auto wait_for = [&](std::uint64_t target) {
@@ -295,13 +336,17 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
       }
     };
 
-    push_cycle(6);
+    hold.engage(engine, frames.row_view(0));
+    push_batches(0, 2);
+    hold.release();
+    push_batches(2, 4);  // PeakHold holds the worker until the last of these
+    push_held_batches(4, 6);
     wait_for(6 * options.batch_size);
-    push_cycle(6);
+    push_held_batches(0, 6);
     wait_for(12 * options.batch_size);
 
     const std::uint64_t before = testhook::allocation_count();
-    push_cycle(10);
+    push_held_batches(0, 10);
     wait_for(22 * options.batch_size);
     EXPECT_EQ(testhook::allocation_count() - before, 0u)
         << "a warmed engine must serve traced batches without allocating";
@@ -323,9 +368,9 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
 }
 
 TEST(ZeroAlloc, ShortBatchWarmUpCoversFullBatches) {
-  // Age cuts make batch lengths vary, so every per-batch buffer is sized
-  // for a full batch (DESIGN.md §10): an engine warmed only on short
-  // batches serves full ones without touching the heap.
+  // Idle and age cuts make batch lengths vary, so every per-batch buffer
+  // is sized for a full batch (DESIGN.md §10): an engine warmed only on
+  // short batches serves full ones without touching the heap.
   const Fixture fx;
   const numerics::Matrix frames = fx.frames(8, 19);
 
@@ -333,11 +378,14 @@ TEST(ZeroAlloc, ShortBatchWarmUpCoversFullBatches) {
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = 8;
-  // Asserts batch boundaries: only batch_size, flush and drain may cut.
+  // Asserts batch boundaries: with the worker held, only batch_size and
+  // flush cut.
   options.max_batch_delay = std::chrono::hours(1);
+  testhook::WorkerHold hold;
   runtime::ReconstructionEngine engine(
       fx.rec, options,
-      [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
+      [&](std::uint64_t stream, std::uint64_t, numerics::ConstMatrixView maps) {
+        if (hold.held(stream)) return;
         delivered.fetch_add(maps.rows(), std::memory_order_relaxed);
       });
   const auto wait_for = [&](std::uint64_t target) {
@@ -349,18 +397,22 @@ TEST(ZeroAlloc, ShortBatchWarmUpCoversFullBatches) {
   // Warm-up: four 3-frame batches, each cut by flush() and delivered
   // before the next.
   for (std::uint64_t b = 0; b < 4; ++b) {
+    hold.engage(engine, frames.row_view(0));
     for (std::size_t f = 0; f < 3; ++f) {
       engine.push_frame(1, frames.row_view(f));
     }
     engine.flush(1);
+    hold.release();
     wait_for(3 * (b + 1));
   }
 
   const std::uint64_t before = testhook::allocation_count();
   for (std::uint64_t b = 0; b < 4; ++b) {
+    hold.engage(engine, frames.row_view(0));
     for (std::size_t f = 0; f < options.batch_size; ++f) {
       engine.push_frame(1, frames.row_view(f));
     }
+    hold.release();
     wait_for(12 + options.batch_size * (b + 1));
   }
   EXPECT_EQ(testhook::allocation_count() - before, 0u)
